@@ -13,7 +13,7 @@ import (
 // over it — TLB lookups, page walks, cache and DRAM accesses, the
 // prefetchers — must not allocate at all. Page-table nodes and entries
 // come from arenas, prefetcher candidate buffers are reused, and the
-// run loop buffers live on the stack, so per-instruction allocations
+// run loop's feed lives on the System, so per-instruction allocations
 // are a regression this test catches.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig()
@@ -63,8 +63,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestRunLoopBatchZeroAllocs verifies the batched fast lane itself adds
-// no per-batch allocations: FillBatch into the stack buffer plus the
-// per-instruction dispatch sequence is allocation-free end to end.
+// no per-batch allocations: FillBatch into the feed's buffer plus the
+// per-instruction dispatch sequence of drive is allocation-free end to
+// end.
 func TestRunLoopBatchZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.OSCfg.PhysBytes = 1 * mem.GB
@@ -86,7 +87,8 @@ func TestRunLoopBatchZeroAllocs(t *testing.T) {
 	src := &isa.SliceSource{S: stream}
 	avg := testing.AllocsPerRun(10, func() {
 		src.Reset()
-		s.runFast(src, 0)
+		s.feed.reset(src, batchSize)
+		s.drive(&s.feed, 0, 0)
 	})
 	if avg != 0 {
 		t.Fatalf("batched run loop allocates %.1f times per pass (want 0)", avg)

@@ -47,9 +47,9 @@ type Response struct {
 	MmapBase mem.VAddr
 }
 
-// FunctionalChannel is the shared-memory mailbox plus doorbell. The
-// synchronous Call path models the common single-outstanding-event case;
-// Serve/Submit provide the multithreaded-kernel path of §4.3.
+// FunctionalChannel is the shared-memory mailbox plus doorbell. Call
+// models one outstanding event at a time; the lock keeps the message
+// counters consistent if several goroutines share a channel.
 type FunctionalChannel struct {
 	mu       sync.Mutex
 	handler  func(Request) Response
@@ -71,17 +71,6 @@ func (c *FunctionalChannel) Call(req Request) Response {
 	h := c.handler
 	c.mu.Unlock()
 	return h(req)
-}
-
-// Submit dispatches a request asynchronously; the kernel handles it on
-// its own goroutine (a MimicOS worker thread) and delivers the response
-// on the returned channel.
-func (c *FunctionalChannel) Submit(req Request) <-chan Response {
-	out := make(chan Response, 1)
-	go func() {
-		out <- c.Call(req)
-	}()
-	return out
 }
 
 // StreamChannel is the instruction-stream channel: the kernel's

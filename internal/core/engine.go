@@ -218,7 +218,6 @@ type System struct {
 	Dram *dram.Controller
 	Hier *cache.Hierarchy
 	MMU  *mmu.MMU
-	Core *cpu.Core
 	OS   *mimicos.Kernel
 	Disk *ssd.Device
 	// Proc is the mm state of the process currently installed on the
@@ -246,18 +245,10 @@ type System struct {
 	swapDeviceCycles uint64
 	segvs            uint64
 
-	cancelCheck func() bool
-	frontendTap func(isa.Inst)
-	interrupted bool
-
-	// stepIn and batch are reusable decode destinations for the run
-	// loops. Filling an instruction through the isa.Source interface
-	// makes the destination escape, so a per-call local would cost one
-	// heap allocation per RunSteps/runFast invocation; parking the
-	// scratch space on the (heap-resident) System keeps the steady
-	// state allocation-free (locked in by alloc_test.go).
-	stepIn isa.Inst
-	batch  []isa.Inst
+	// driver holds the core and the run loop's hooks (drive.go); feed
+	// is the frontend of Run, RunRecording and RunSteps.
+	driver
+	feed feed
 
 	// Streaming observation (see observe.go). obsCtxSwitches mirrors the
 	// multiprogrammed scheduler's dispatch count so snapshots can report
@@ -277,42 +268,6 @@ const (
 	TextSegBytes            = 32 * mem.MB
 	TextSegFileID           = 0xC0DE
 )
-
-// cancelStride is how many frontend instructions Run retires between
-// cancellation polls: rare enough to stay off the hot path, frequent
-// enough that a cancelled context stops a simulation within microseconds
-// of simulated work.
-const cancelStride = 1 << 13
-
-// batchSize is the fast lane's frontend read-ahead: large enough to
-// amortize the per-batch isa.Source dispatch to noise, small enough
-// that the buffer lives on the run loop's stack.
-const batchSize = 256
-
-// SetCancelCheck installs a cooperative cancellation poll: Run and
-// RunSteps call f periodically and stop early when it returns true.
-// Used by the sweep runner to honour context.Context cancellation
-// mid-simulation. Pass nil to remove the check.
-func (s *System) SetCancelCheck(f func() bool) { s.cancelCheck = f }
-
-// SetFrontendTap installs an observer invoked for every application
-// instruction the frontend feeds the core, before it is simulated —
-// the hook trace recording uses (see internal/trace.Recorder). Kernel
-// streams injected by MimicOS do not pass the tap: a trace captures
-// the application, and replaying it regenerates the kernel work under
-// whatever OS configuration the replay run uses. Pass nil to remove.
-func (s *System) SetFrontendTap(f func(isa.Inst)) { s.frontendTap = f }
-
-// Cancelled reports whether the installed cancellation check fired.
-func (s *System) Cancelled() bool {
-	return s.cancelCheck != nil && s.cancelCheck()
-}
-
-// Interrupted reports whether a run on this system was actually stopped
-// early by the cancellation check — as opposed to the check's context
-// being cancelled after the simulation already completed. Callers use
-// it to tell truncated metrics from valid ones under a racing cancel.
-func (s *System) Interrupted() bool { return s.interrupted }
 
 // NewSystem wires a complete system per cfg. The kernel, one process,
 // the translation design, and the channels are all constructed; call Run
@@ -336,7 +291,7 @@ func NewSystemPooled(cfg Config, pool *recycle.Pool) (*System, error) {
 	}
 	s := &System{Cfg: cfg, noise: xrand.New(cfg.Seed ^ 0x0A15E)}
 	if b, ok := pool.Take(batchKey); ok {
-		s.batch = b.([]isa.Inst)
+		s.feed.buf = b.([]isa.Inst)
 	}
 	if cfg.WithDisk {
 		s.Disk = ssd.New(ssd.Config{})
@@ -513,11 +468,11 @@ func (s *System) Recycle(pool *recycle.Pool) {
 	s.Hier.Recycle(pool)
 	s.MMU.Recycle(pool)
 	s.OS.Recycle(pool)
-	if s.batch != nil {
-		clear(s.batch)
-		pool.Give(batchKey, s.batch)
-		s.batch = nil
+	if b := s.feed.buf[:cap(s.feed.buf)]; len(b) >= batchSize {
+		clear(b)
+		pool.Give(batchKey, b)
 	}
+	s.feed = feed{}
 }
 
 // ReleaseTransients donates process-global reusable buffers — today
@@ -669,115 +624,36 @@ func (s *System) Mmap(length uint64, flags mimicos.MmapFlags) mem.VAddr {
 
 // Run simulates the workload and returns the collected metrics.
 func (s *System) Run(w *workloads.Workload) Metrics {
-	if s.Cfg.TrackPFLatencies {
-		s.PFLatNs = stats.NewSeries(4096)
-		s.MajorPFLatNs = stats.NewSeries(256)
-	}
-
-	// Address-space setup (the exec/loader phase): functional only.
-	// The text segment backs instruction fetches at the workloads' PCs.
-	s.OS.Mmap(s.Proc.PID, TextSegBytes, mimicos.MmapFlags{
-		File: true, FileID: TextSegFileID, FixedAddr: TextSegBase,
-	})
-	w.Setup(s.OS, s.Proc.PID)
-	s.OS.Tracer.Begin() // drop setup streams
-
-	src := s.makeFrontend(w)
+	src := s.Prepare(w)
 	// Run owns the frontend it built: release sources backed by a file
 	// even when the instruction bound stops the run before EOF.
 	defer closeSource(src)
+	return s.runSource(w.Name(), src)
+}
 
-	var msBefore runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	wallStart := time.Now()
+// runSource drives src to the instruction bound inside the timed
+// window: the body of Run and RunRecording.
+func (s *System) runSource(name string, src isa.Source) Metrics {
+	s.feed.reset(src, feedSize(s.Cfg.ReferencePath))
+	return s.timed(name, func() { s.drive(&s.feed, s.Cfg.MaxAppInsts, 0) })
+}
 
-	s.runLoop(src, s.Cfg.MaxAppInsts)
+// timed runs body inside the host measurement window every run shape
+// reports — heap statistics and wall time around it — and packages the
+// metrics. Unless a cancellation cut the run short, the closing
+// observer snapshot is emitted first, from the same counter state
+// collect reads, so the Final snapshot equals the Metrics exactly.
+func (s *System) timed(name string, body func()) Metrics {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	body()
 	if !s.interrupted {
-		// The closing snapshot reads the same counter state collect is
-		// about to package, so Final snapshot == Metrics exactly.
 		s.finishObserve()
 	}
-
-	wall := time.Since(wallStart)
-	var msAfter runtime.MemStats
-	runtime.ReadMemStats(&msAfter)
-
-	return s.collect(w.Name(), wall, msBefore, msAfter)
-}
-
-// runLoop drives the core over src until exhaustion, the optional
-// instruction bound, or cancellation. It dispatches between the batched
-// fast lane and the per-instruction reference loop; both retire the
-// same instructions in the same order with identical per-instruction
-// bookkeeping, so Results are byte-identical (the differential suite
-// asserts it).
-func (s *System) runLoop(src isa.Source, max uint64) {
-	if s.Cfg.ReferencePath {
-		s.runReference(src, max)
-		return
-	}
-	s.runFast(src, max)
-}
-
-// runReference is the unbatched loop: one interface dispatch per
-// instruction. Kept verbatim as the semantic baseline the fast lane is
-// diffed against.
-func (s *System) runReference(src isa.Source, max uint64) {
-	var in isa.Inst
-	var polled uint64
-	for src.Next(&in) {
-		if s.frontendTap != nil {
-			s.frontendTap(in)
-		}
-		s.Core.Run(in)
-		if s.observer != nil {
-			s.maybeObserve()
-		}
-		if max > 0 && s.Core.Stats().AppInsts >= max {
-			break
-		}
-		if polled++; polled%cancelStride == 0 && s.Cancelled() {
-			s.interrupted = true
-			break
-		}
-	}
-}
-
-// runFast is the batched loop: instructions are pulled from the source
-// in blocks (one FillBatch call per batchSize instructions) into a
-// stack buffer, then retired with the exact per-instruction sequence of
-// runReference — tap, core, observe, bound check, cancellation poll.
-// When the bound or a cancel stops the run mid-batch, the remaining
-// read-ahead is discarded, matching the reference loop leaving the same
-// instructions unread in the source.
-func (s *System) runFast(src isa.Source, max uint64) {
-	if s.batch == nil {
-		s.batch = make([]isa.Inst, batchSize)
-	}
-	buf := s.batch
-	var polled uint64
-	for {
-		n := isa.FillBatch(src, buf)
-		if n == 0 {
-			return
-		}
-		for i := 0; i < n; i++ {
-			if s.frontendTap != nil {
-				s.frontendTap(buf[i])
-			}
-			s.Core.Run(buf[i])
-			if s.observer != nil {
-				s.maybeObserve()
-			}
-			if max > 0 && s.Core.Stats().AppInsts >= max {
-				return
-			}
-			if polled++; polled%cancelStride == 0 && s.Cancelled() {
-				s.interrupted = true
-				return
-			}
-		}
-	}
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return s.collect(name, wall, before, after)
 }
 
 // makeFrontend adapts the workload source per the configured frontend.
@@ -801,8 +677,8 @@ func (s *System) makeFrontend(w *workloads.Workload) isa.Source {
 func (s *System) makeFrontendSeeded(w *workloads.Workload, salt uint64) isa.Source {
 	if s.Cfg.TracePath != "" {
 		// The fast lane picks the quickest decode strategy for the file
-		// and machine (parallel block decode for v2, decode-ahead ring
-		// for v1, inline on one CPU) — or streams from the shared
+		// and machine (parallel block decode for v2 on several CPUs,
+		// inline otherwise) — or streams from the shared
 		// decoded-trace store when the caller provides one. The
 		// reference path keeps the plain inline-decode source, so
 		// TestFastPathEquivalenceReplay also proves every variant
@@ -931,39 +807,35 @@ func (s *System) ResetStats() {
 // RunSteps drives the system over src until it is exhausted or the core
 // has retired maxApp further application instructions (0 = no bound).
 // Used by experiments that interleave warm-up and measurement windows.
+// The feed is one slot wide: callers re-enter with the same source, so
+// RunSteps reads nothing it does not retire.
 func (s *System) RunSteps(src isa.Source, maxApp uint64) {
-	start := s.Core.Stats().AppInsts
-	in := &s.stepIn
-	var polled uint64
-	for src.Next(in) {
-		if s.frontendTap != nil {
-			s.frontendTap(*in)
-		}
-		s.Core.Run(*in)
-		if maxApp > 0 && s.Core.Stats().AppInsts-start >= maxApp {
-			return
-		}
-		if polled++; polled%cancelStride == 0 && s.Cancelled() {
-			s.interrupted = true
-			return
-		}
+	var limit uint64
+	if maxApp > 0 {
+		limit = s.Core.Stats().AppInsts + maxApp
 	}
+	s.feed.reset(src, 1)
+	s.drive(&s.feed, limit, 0)
 }
 
 // Prepare performs the address-space setup for w without running it,
-// returning the instruction source. Callers then drive RunSteps and
-// Collect explicitly (warm-up/steady-state experiments).
+// returning the instruction source. Run uses it; callers driving
+// RunSteps and Collect explicitly (warm-up/steady-state experiments)
+// call it themselves.
 func (s *System) Prepare(w *workloads.Workload) isa.Source {
-	s.OS.Mmap(s.Proc.PID, TextSegBytes, mimicos.MmapFlags{
-		File: true, FileID: TextSegFileID, FixedAddr: TextSegBase,
-	})
-	w.Setup(s.OS, s.Proc.PID)
-	s.OS.Tracer.Begin()
+	s.trackPFLatencies()
+	load(s.OS, s.Proc.PID, w)
+	s.OS.Tracer.Begin() // drop setup streams
+	return s.makeFrontend(w)
+}
+
+// trackPFLatencies allocates the page-fault latency series when the
+// configuration asks for them.
+func (s *System) trackPFLatencies() {
 	if s.Cfg.TrackPFLatencies && s.PFLatNs == nil {
 		s.PFLatNs = stats.NewSeries(4096)
 		s.MajorPFLatNs = stats.NewSeries(256)
 	}
-	return s.makeFrontend(w)
 }
 
 // Collect gathers metrics after explicit RunSteps driving.

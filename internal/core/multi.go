@@ -10,15 +10,11 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/cpu"
-	"repro/internal/isa"
 	"repro/internal/mimicos"
 	"repro/internal/mmu"
-	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
@@ -33,35 +29,11 @@ type Process struct {
 	OS     *mimicos.Process
 	Design mmu.Design
 
-	src      isa.Source
+	// feed is the process's frontend; its read-ahead persists across
+	// scheduling slices.
+	feed     feed
 	finished bool
 	acc      procAccum
-
-	// Fast-lane read-ahead: instructions batched out of src, persisted
-	// across scheduling slices so a quantum boundary mid-batch loses
-	// nothing. Unused (nil) on the reference path.
-	buf    []isa.Inst
-	bufPos int
-	bufN   int
-}
-
-// next produces the process's next instruction, refilling the batch
-// buffer when drained. With a nil buffer (reference path) it is a plain
-// per-instruction source read.
-func (p *Process) next(in *isa.Inst) bool {
-	if p.buf == nil {
-		return p.src.Next(in)
-	}
-	if p.bufPos == p.bufN {
-		p.bufN = isa.FillBatch(p.src, p.buf)
-		p.bufPos = 0
-		if p.bufN == 0 {
-			return false
-		}
-	}
-	*in = p.buf[p.bufPos]
-	p.bufPos++
-	return true
 }
 
 // procAccum collects per-process deltas of the shared core/MMU counters
@@ -243,10 +215,7 @@ func (s *System) RunMulti(ws []*workloads.Workload) (MultiMetrics, error) {
 	if csCost == 0 {
 		csCost = DefaultCtxSwitchCost
 	}
-	if s.Cfg.TrackPFLatencies {
-		s.PFLatNs = stats.NewSeries(4096)
-		s.MajorPFLatNs = stats.NewSeries(256)
-	}
+	s.trackPFLatencies()
 
 	mix := make([]string, len(ws))
 	for i, w := range ws {
@@ -262,10 +231,7 @@ func (s *System) RunMulti(ws []*workloads.Workload) (MultiMetrics, error) {
 	// functional only, setup streams dropped — then the per-process
 	// frontends.
 	for _, p := range s.procs {
-		s.OS.Mmap(p.PID, TextSegBytes, mimicos.MmapFlags{
-			File: true, FileID: TextSegFileID, FixedAddr: TextSegBase,
-		})
-		p.W.Setup(s.OS, p.PID)
+		load(s.OS, p.PID, p.W)
 	}
 	s.OS.Tracer.Begin()
 	// Finished processes close their sources (and nil them) at exit;
@@ -274,30 +240,32 @@ func (s *System) RunMulti(ws []*workloads.Workload) (MultiMetrics, error) {
 	// (file-backed sources hold descriptors and decode goroutines).
 	defer func() {
 		for _, p := range s.procs {
-			if p.src != nil {
-				closeSource(p.src)
+			if p.feed.src != nil {
+				closeSource(p.feed.src)
 			}
 		}
 	}()
+	size := feedSize(s.Cfg.ReferencePath)
 	for _, p := range s.procs {
-		p.src = s.makeFrontendSeeded(p.W, frontendSalt(p.PID))
-		if !s.Cfg.ReferencePath {
-			p.buf = make([]isa.Inst, batchSize)
-		}
+		p.feed.reset(s.makeFrontendSeeded(p.W, frontendSalt(p.PID)), size)
 	}
 
 	mm := MultiMetrics{Mix: mix, Quantum: quantum, ASIDRetention: s.Cfg.ASIDRetention}
+	mm.Aggregate = s.timed(MixName(mix), func() { s.schedule(&mm, quantum, csCost) })
+	for _, p := range s.procs {
+		mm.Procs = append(mm.Procs, p.metrics())
+	}
+	return mm, nil
+}
 
-	var msBefore runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	wallStart := time.Now()
-
+// schedule runs the round-robin schedule until every process finished
+// or a cancellation stops it. Each dispatch drives the process's feed
+// for one quantum of cycles, bounded by what is left of the process's
+// Config.MaxAppInsts.
+func (s *System) schedule(mm *MultiMetrics, quantum, csCost uint64) {
 	maxPer := s.Cfg.MaxAppInsts
 	runnable := len(s.procs)
 	cur := -1
-	var polled uint64
-	var in isa.Inst
-sched:
 	for runnable > 0 {
 		// Round-robin: the next runnable process after the current one.
 		next := cur
@@ -322,35 +290,21 @@ sched:
 		}
 		cur = next
 
-		sliceEnd := s.Core.Now() + quantum
 		snapCore := *s.Core.Stats()
 		snapMMU := *s.MMU.Stats()
-		for {
-			if !p.next(&in) {
-				p.finished = true
-				break
-			}
-			s.Core.Run(in)
-			if s.observer != nil {
-				s.maybeObserve()
-			}
-			if maxPer > 0 && p.acc.appInsts+(s.Core.Stats().AppInsts-snapCore.AppInsts) >= maxPer {
-				p.finished = true
-				break
-			}
-			if s.Core.Now() >= sliceEnd {
-				break
-			}
-			if polled++; polled%cancelStride == 0 && s.Cancelled() {
-				s.interrupted = true
-				p.addSlice(snapCore, *s.Core.Stats(), snapMMU, *s.MMU.Stats())
-				break sched
-			}
+		var appLimit uint64
+		if maxPer > 0 {
+			// An unfinished process has retired fewer than maxPer.
+			appLimit = snapCore.AppInsts + maxPer - p.acc.appInsts
 		}
+		p.finished = s.drive(&p.feed, appLimit, s.Core.Now()+quantum)
 		p.addSlice(snapCore, *s.Core.Stats(), snapMMU, *s.MMU.Stats())
+		if s.interrupted {
+			return
+		}
 		if p.finished {
-			closeSource(p.src)
-			p.src = nil
+			closeSource(p.feed.src)
+			p.feed.src = nil
 			// Exit and reap: VMAs torn down, frames freed, the ASID
 			// flushed hierarchy-wide (exit notifier) and recycled. In
 			// imitation mode the traced do_exit/teardown stream is
@@ -364,20 +318,6 @@ sched:
 			runnable--
 		}
 	}
-
-	if !s.interrupted {
-		s.finishObserve()
-	}
-
-	wall := time.Since(wallStart)
-	var msAfter runtime.MemStats
-	runtime.ReadMemStats(&msAfter)
-
-	mm.Aggregate = s.collect(MixName(mix), wall, msBefore, msAfter)
-	for _, p := range s.procs {
-		mm.Procs = append(mm.Procs, p.metrics())
-	}
-	return mm, nil
 }
 
 // metrics packages the process's accumulated counters.

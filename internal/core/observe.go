@@ -55,14 +55,18 @@ func (s Snapshot) IPC() float64 {
 	return float64(s.AppInsts) / float64(s.Cycles)
 }
 
-// SetObserver installs a streaming observer: Run and RunMulti call f
+// SetObserver installs a streaming observer: the run loop calls f
 // with a Snapshot roughly every `every` application instructions (0 =
-// DefaultObserveEvery) and once more, with Final set, when the run
-// completes. Pass nil to remove. The callback runs on the simulation
-// goroutine — keep it cheap, and do not touch the System from inside
-// it.
+// DefaultObserveEvery), and Run, RunRecording and RunMulti call it once
+// more, with Final set, when the run completes. Pass nil to remove. The
+// callback runs on the simulation goroutine — keep it cheap, and do not
+// touch the System from inside it.
 func (s *System) SetObserver(f func(Snapshot), every uint64) {
 	s.observer = f
+	s.observe = nil
+	if f != nil {
+		s.observe = s.maybeObserve
+	}
 	if every == 0 {
 		every = DefaultObserveEvery
 	}
@@ -72,8 +76,8 @@ func (s *System) SetObserver(f func(Snapshot), every uint64) {
 }
 
 // maybeObserve emits a snapshot when the run has crossed the next
-// observation threshold. Called from the run loops only when an
-// observer is installed.
+// observation threshold. It is the run loop's observer hook, installed
+// only while an observer is.
 func (s *System) maybeObserve() {
 	if s.Core.Stats().AppInsts < s.nextObserve {
 		return

@@ -15,7 +15,8 @@ import (
 // are those of the recording run, and replaying the written trace under
 // the same configuration reproduces them deterministically — that
 // equivalence is what makes recorded traces a drop-in substitute for
-// the live workload.
+// the live workload. The run goes through the same loop, feed and timed
+// window as Run, so ReferencePath, cancellation and the observer apply.
 //
 // Like Run, RunRecording consumes the system: build a fresh one per
 // recording. The caller owns tw and must Close it (closing also flushes
@@ -46,9 +47,9 @@ func (s *System) RunRecording(w *workloads.Workload, tw *trace.Writer) (Metrics,
 	rec := trace.NewRecorder(tw)
 	s.SetFrontendTap(rec.OnInst)
 	defer s.SetFrontendTap(nil)
-	s.RunSteps(src, s.Cfg.MaxAppInsts)
+	m := s.runSource(w.Name(), src)
 	if err := rec.Err(); err != nil {
 		return Metrics{}, fmt.Errorf("core: recording: %w", err)
 	}
-	return s.Collect(w), nil
+	return m, nil
 }

@@ -5,7 +5,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/instrument"
-	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/mimicos"
 	"repro/internal/mmu"
@@ -29,7 +28,11 @@ type VirtualizedSystem struct {
 	Dram *dram.Controller
 	Hier *cache.Hierarchy
 	MMU  *mmu.MMU
-	Core *cpu.Core
+
+	// driver holds the core and the run loop's hooks (drive.go): Run
+	// honours SetCancelCheck and SetFrontendTap like System.Run.
+	driver
+	feed feed
 
 	FuncChan   *FunctionalChannel
 	StreamChan *StreamChannel
@@ -52,8 +55,9 @@ type VirtualizedConfig struct {
 	DramCfg        dram.Config
 	Seed           uint64
 
-	// ReferencePath forces Run onto the unbatched per-instruction loop,
-	// mirroring Config.ReferencePath for the two-kernel system.
+	// ReferencePath gives Run a one-slot feed (one Next per
+	// instruction), mirroring Config.ReferencePath for the two-kernel
+	// system.
 	ReferencePath bool `json:"-"`
 }
 
@@ -183,38 +187,14 @@ func (v *VirtualizedSystem) handleFault(va mem.VAddr, write bool) bool {
 	return true
 }
 
-// Run simulates the workload inside the guest.
+// Run simulates the workload inside the guest until it finishes, the
+// guest retires maxApp application instructions (0 = no bound), or the
+// cancellation check fires (see Interrupted).
 func (v *VirtualizedSystem) Run(w *workloads.Workload, maxApp uint64) (guestFaults, hostFaults, kernelInsts uint64, ipc float64) {
-	v.Guest.Mmap(1, 32*mem.MB, mimicos.MmapFlags{File: true, FileID: 0xC0DE, FixedAddr: 0x400000})
-	w.Setup(v.Guest, 1)
+	load(v.Guest, 1, w)
 	v.Guest.Tracer.Begin()
-	src := w.Source(11)
-	if v.refPath {
-		var in isa.Inst
-		for src.Next(&in) {
-			v.Core.Run(in)
-			if maxApp > 0 && v.Core.Stats().AppInsts >= maxApp {
-				break
-			}
-		}
-	} else {
-		// Batched fast lane, per-instruction semantics identical to the
-		// reference loop above (see System.runFast).
-		var buf [batchSize]isa.Inst
-	fill:
-		for {
-			n := isa.FillBatch(src, buf[:])
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				v.Core.Run(buf[i])
-				if maxApp > 0 && v.Core.Stats().AppInsts >= maxApp {
-					break fill
-				}
-			}
-		}
-	}
+	v.feed.reset(w.Source(11), feedSize(v.refPath))
+	v.drive(&v.feed, maxApp, 0)
 	st := v.Core.Stats()
 	return v.GuestFaults, v.HostFaults, st.KernelInsts, st.IPC()
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/workloads"
 )
@@ -50,5 +51,42 @@ func TestVirtualizedNestedTLBEffect(t *testing.T) {
 	// radix-radix walk touches up to 4 guest steps × host translations.
 	if avg := v.MMU.Stats().AvgWalkLatency(); avg < 10 {
 		t.Fatalf("nested walks implausibly cheap: %.1f cycles", avg)
+	}
+}
+
+// TestVirtualizedRunCancel checks that the two-kernel run honours the
+// cancellation check like System.Run: once the check fires, the run
+// stops within cancelStride frontend instructions and Interrupted
+// reports it. A run whose check never fires is not interrupted.
+func TestVirtualizedRunCancel(t *testing.T) {
+	tiny := workloads.Params{Scale: 0.02}
+	cfg := DefaultVirtualizedConfig()
+	cfg.GuestPhysBytes = 256 * mem.MB
+	cfg.HostPhysBytes = 512 * mem.MB
+
+	const fireAt = 20_000
+	run := func(cancel bool) (*VirtualizedSystem, uint64) {
+		v := NewVirtualizedSystem(cfg)
+		var fed uint64
+		v.SetFrontendTap(func(isa.Inst) { fed++ })
+		v.SetCancelCheck(func() bool { return cancel && fed >= fireAt })
+		v.Run(byName(t, "2D-Sum", tiny), 150_000)
+		return v, fed
+	}
+
+	v, fed := run(false)
+	if v.Interrupted() {
+		t.Fatal("run without cancellation reports Interrupted")
+	}
+	if fed < fireAt+cancelStride {
+		t.Fatalf("control run fed only %d instructions; the cancel point would not be inside it", fed)
+	}
+
+	v, fed = run(true)
+	if !v.Interrupted() {
+		t.Fatal("cancelled run does not report Interrupted")
+	}
+	if fed < fireAt || fed >= fireAt+cancelStride {
+		t.Fatalf("cancelled run stopped after %d instructions, want within [%d, %d)", fed, fireAt, fireAt+cancelStride)
 	}
 }

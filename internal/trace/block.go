@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"io"
 	"os"
 )
 
@@ -143,10 +142,11 @@ func parseIndex(buf []byte, indexOff uint64) ([]blockInfo, error) {
 // returns the parsed index, the file offset the index starts at, and
 // the serialised index length in bytes.
 func readIndexFile(f *os.File) (blocks []blockInfo, indexOff uint64, indexLen int, err error) {
-	size, err := f.Seek(0, io.SeekEnd)
+	fi, err := f.Stat()
 	if err != nil {
 		return nil, 0, 0, corruptf("index: %v", err)
 	}
+	size := fi.Size()
 	if size < trailerSize+8 {
 		return nil, 0, 0, corruptf("file too small for a v2 trailer (%d bytes)", size)
 	}

@@ -22,16 +22,16 @@ const decodeWorkersMax = 4
 // OpenReplaySource opens path as the fastest streaming isa.Source for
 // this machine and file:
 //
-//   - a v2 file on a multi-core machine gets the parallel block
+//   - a plain v2 file on a multi-core machine gets the parallel block
 //     decoder: a worker pool inflates blocks out of order into
 //     reusable arenas and a sequencer delivers them in order;
-//   - a v1 file on a multi-core machine gets the single-goroutine
-//     decode-ahead ring (v1 blocks cannot be decoded out of order);
-//   - on a single-core machine both versions decode inline — handing
-//     the decode to another goroutine would only add channel traffic.
+//   - everything else — v1, gzip, or a single-core machine — decodes
+//     inline (v1 blocks cannot be decoded out of order, and on one core
+//     handing the decode to another goroutine only adds channel
+//     traffic).
 //
-// Every variant yields byte-for-byte the stream a plain Open/Read loop
-// produces; only the threading differs. The reference engine loop
+// Both variants yield byte-for-byte the stream a plain Open/Read loop
+// produces; only the threading differs. The reference engine path
 // (Config.ReferencePath) bypasses this and uses MustOpenSource.
 func OpenReplaySource(path string) (isa.Source, error) {
 	r, err := Open(path)
@@ -39,11 +39,8 @@ func OpenReplaySource(path string) (isa.Source, error) {
 		return nil, err
 	}
 	procs := runtime.GOMAXPROCS(0)
-	if procs == 1 {
+	if procs == 1 || r.version != Version2 || r.gz != nil || r.file == nil {
 		return &fileSource{r: r, path: path}, nil
-	}
-	if r.version != Version2 || r.gz != nil || r.file == nil {
-		return newPrefetchSource(path, r), nil
 	}
 	workers := procs
 	if workers > decodeWorkersMax {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/isa"
+	"repro/internal/xrand"
 )
 
 // genInsts builds a deterministic stream of n varied records: every op
@@ -537,36 +538,6 @@ func TestParallelSourceCloseMidStream(t *testing.T) {
 			t.Fatal(err) // idempotent
 		}
 	}
-	// The same for the v1 prefetch ring.
-	v1 := filepath.Join(t.TempDir(), "leak1.trc")
-	wv1, err := CreateV1(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wv1.WriteHeader(testHeader()); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range insts[:8192] {
-		wv1.WriteInst(in)
-	}
-	if err := wv1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		src, err := OpenPrefetchSource(v1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var in isa.Inst
-		for k := 0; k < 100; k++ {
-			if !src.Next(&in) {
-				t.Fatal("stream ended early")
-			}
-		}
-		if err := src.(io.Closer).Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// Decoder goroutines park and exit asynchronously after Close
 	// returns only in failure modes; give stragglers a moment before
 	// declaring a leak.
@@ -718,6 +689,41 @@ func TestSharedStore(t *testing.T) {
 	}
 	if _, err := s.Open(junk); err == nil {
 		t.Error("shared store accepted a corrupt trace")
+	}
+}
+
+// TestSharedStoreLargeFile opens, through the store, a v2 file larger
+// than the Reader's 64 KiB buffer. Reading the block index must not
+// move the shared file offset: the records decoded after it have to
+// come from the record section, not from the end of the file.
+func TestSharedStoreLargeFile(t *testing.T) {
+	rng := xrand.New(7)
+	insts := make([]isa.Inst, 3*blockRecords)
+	for i := range insts {
+		// Random addresses defeat the delta coding and flate, so the
+		// file outgrows the buffer.
+		insts[i] = isa.Inst{Op: isa.OpLoad, Count: 1, PC: 0x400000 + 4*rng.Uint64n(1<<20), Addr: rng.Uint64n(1 << 46)}
+	}
+	path := filepath.Join(t.TempDir(), "large.trc")
+	writeTraceV2File(t, path, insts)
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() <= 1<<16 {
+		t.Fatalf("fixture is %d bytes, want more than 64 KiB", fi.Size())
+	}
+	src, err := NewShared(0).Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.(io.Closer).Close()
+	got := drainSource(src)
+	if len(got) != len(insts) {
+		t.Fatalf("got %d records, want %d", len(got), len(insts))
+	}
+	for i := range got {
+		if got[i] != insts[i] {
+			t.Fatalf("record %d diverged through the shared store", i)
+		}
 	}
 }
 

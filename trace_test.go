@@ -133,6 +133,55 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestRecordObserved checks that Record runs in the same loop and timed
+// window as Run: an installed observer receives a Final snapshot equal
+// to the returned Metrics, and the wall time is measured.
+func TestRecordObserved(t *testing.T) {
+	var snaps []virtuoso.Snapshot
+	sess, err := virtuoso.Open(append(traceTestOpts(),
+		virtuoso.WithWorkloadScale(0.05),
+		virtuoso.WithWorkload("BFS"),
+		virtuoso.WithObserver(virtuoso.ObserverFunc(func(s virtuoso.Snapshot) {
+			snaps = append(snaps, s)
+		})),
+		virtuoso.WithObserveInterval(50_000),
+	)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := sess.Record(filepath.Join(t.TempDir(), "observed.trc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) < 2 {
+		t.Fatalf("got %d snapshots, want interval ones and a final one", len(snaps))
+	}
+	last := snaps[len(snaps)-1]
+	want := virtuoso.Snapshot{
+		Seq:         len(snaps) - 1,
+		Final:       true,
+		AppInsts:    m.AppInsts,
+		KernelInsts: m.KernelInsts,
+		Cycles:      m.Cycles,
+		L2TLBMisses: m.L2TLBMisses,
+		Walks:       m.Walks,
+		WalkCycles:  m.WalkCycles,
+		MinorFaults: m.OS.MinorFaults,
+		MajorFaults: m.OS.MajorFaults,
+		SwapIns:     m.OS.SwapIns,
+		SwapOuts:    m.OS.SwapOuts,
+		Collapses:   m.OS.Collapses,
+		Promotions:  m.OS.Promotions,
+		Demotions:   m.OS.Demotions,
+	}
+	if last != want {
+		t.Errorf("final snapshot %+v\nwant (from Metrics) %+v", last, want)
+	}
+	if m.WallTime <= 0 {
+		t.Errorf("WallTime = %v, want > 0", m.WallTime)
+	}
+}
+
 // TestSweepSharedTraceStore replays one recorded trace across a seed
 // grid twice through Sweep.Traces: every point must match the plain
 // per-point replay, and the second sweep must decode nothing.
