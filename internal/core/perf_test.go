@@ -76,7 +76,7 @@ func BenchmarkCoreRunMulti(b *testing.B) {
 }
 
 // BenchmarkCoreTraceReplay profiles the trace-driven frontend at the
-// engine level: record decode (the Reader's Peek fast path) feeding the
+// engine level: record decode feeding the
 // batched run loop, with no workload generation in the measured region.
 func BenchmarkCoreTraceReplay(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "perf.trc")

@@ -16,7 +16,7 @@ func policyCtor() mimicos.AllocPolicy { return &mimicos.BuddyPolicy{} }
 func designCtor(env DesignEnv) mmu.Design { return env.Radix }
 
 func workloadCtor(p workloads.Params) (*workloads.Workload, error) {
-	return workloads.Stress(0, 8), nil
+	return workloads.StressWith(0, 8, workloads.Params{}), nil
 }
 
 func TestRegisterRejectsBadNames(t *testing.T) {

@@ -8,14 +8,14 @@ import (
 )
 
 // TestReadZeroAllocs locks in the allocation-free decode path: once the
-// Reader is constructed, steady-state Read calls (the Peek/Discard fast
-// lane over the buffered stream) must not allocate per record. Replay
+// Reader is constructed, steady-state Read calls (batches decoded out
+// of the buffered window into the read-ahead array) must not allocate
+// per record. Replay
 // throughput depends on it — a trace run decodes hundreds of millions
 // of records.
 func TestReadZeroAllocs(t *testing.T) {
 	// Enough varied records that warm-up plus every measured run decodes
-	// well clear of the end of stream (the end-of-stream tail falls back
-	// to the byte-at-a-time slow path by design).
+	// well clear of the end of stream.
 	const (
 		perRun  = 2000
 		runs    = 5

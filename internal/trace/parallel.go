@@ -1,12 +1,8 @@
 package trace
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -188,12 +184,10 @@ func (s *parallelSource) worker() {
 }
 
 // blockDecoder holds one worker's reusable decode state: the raw
-// on-disk span, the inflated payload, and the flate reader.
+// on-disk span and the inflate state.
 type blockDecoder struct {
-	span  []byte
-	raw   []byte
-	fr    io.ReadCloser
-	frSrc bytes.Reader
+	span []byte
+	z    inflater
 }
 
 // maxBlockHeaderBytes bounds the serialised block header: five
@@ -202,8 +196,8 @@ const maxBlockHeaderBytes = 5 * binary.MaxVarintLen64
 
 // decode reads block b (whose on-disk bytes end at end) with one
 // positioned read, cross-checks the block header against the index
-// entry, verifies the CRC, inflates, and decodes the records into
-// arena. The shared *os.File is only used via ReadAt, which is safe
+// entry, inflates the payload, and decodes its records into arena in
+// one call. The shared *os.File is only used via ReadAt, which is safe
 // concurrently.
 func (d *blockDecoder) decode(f *os.File, b blockInfo, end uint64, arena []isa.Inst) ([]isa.Inst, error) {
 	need := int(b.CompLen) + 4 + maxBlockHeaderBytes
@@ -233,98 +227,18 @@ func (d *blockDecoder) decode(f *os.File, b blockInfo, end uint64, arena []isa.I
 	if uint64(len(buf)) < b.CompLen+4 {
 		return arena, corruptf("block at %d: truncated payload", b.Off)
 	}
-	comp := buf[:b.CompLen]
-	if want := binary.LittleEndian.Uint32(buf[b.CompLen:]); crc32.ChecksumIEEE(comp) != want {
-		return arena, corruptf("block at %d: CRC mismatch", b.Off)
+	raw, err := d.z.inflate(buf[:b.CompLen], binary.LittleEndian.Uint32(buf[b.CompLen:]), b.RawLen)
+	if err != nil {
+		return arena, corruptf("block at %d: %v", b.Off, err)
 	}
-	if uint64(cap(d.raw)) < b.RawLen {
-		d.raw = make([]byte, b.RawLen)
+	var st recordState
+	n, used, err := decodeRecords(raw, arena[:b.Records], &st)
+	arena = arena[:n]
+	if err == nil {
+		err = blockDone(raw, used, st, recordState{records: b.Records, insts: b.Insts, memOps: b.MemOps})
 	}
-	d.raw = d.raw[:b.RawLen]
-	d.frSrc.Reset(comp)
-	if d.fr == nil {
-		d.fr = flate.NewReader(&d.frSrc)
-	} else if err := d.fr.(flate.Resetter).Reset(&d.frSrc, nil); err != nil {
-		return arena, corruptf("block at %d: flate reset: %v", b.Off, err)
-	}
-	if _, err := io.ReadFull(d.fr, d.raw); err != nil {
-		return arena, corruptf("block at %d: inflate: %v", b.Off, eofErr(err))
-	}
-	var one [1]byte
-	if n, _ := d.fr.Read(one[:]); n != 0 {
-		return arena, corruptf("block at %d: inflates past its declared raw length", b.Off)
-	}
-	return decodeBlockRecords(d.raw, b, arena)
-}
-
-// decodeBlockRecords decodes a block's inflated payload into arena,
-// enforcing the same contract as the sequential reader: exact payload
-// consumption, declared counts, canonical count/address rules.
-func decodeBlockRecords(raw []byte, b blockInfo, arena []isa.Inst) ([]isa.Inst, error) {
-	arena = arena[:0]
-	var prevPC, prevAddr uint64
-	var sumInsts, sumMem uint64
-	pos := 0
-	for rec := uint64(0); rec < b.Records; rec++ {
-		buf := raw[pos:]
-		if len(buf) == 0 {
-			return arena, corruptf("block at %d: payload underruns its record count", b.Off)
-		}
-		ctrl := buf[0]
-		if ctrl&ctrlReserved != 0 {
-			return arena, corruptf("block at %d, record %d: reserved control bit set (%#02x)", b.Off, rec, ctrl)
-		}
-		in := isa.Inst{Op: isa.Op(ctrl & ctrlOpMask), Phys: ctrl&ctrlPhys != 0, Count: 1}
-		n := 1
-		if ctrl&ctrlHasPC != 0 {
-			d, k := binary.Varint(buf[n:])
-			if k <= 0 {
-				return arena, corruptf("block at %d, record %d: truncated pc delta", b.Off, rec)
-			}
-			n += k
-			prevPC += uint64(d)
-		}
-		in.PC = prevPC
-		if ctrl&ctrlHasCount != 0 {
-			c, k := binary.Uvarint(buf[n:])
-			if k <= 0 {
-				return arena, corruptf("block at %d, record %d: truncated count", b.Off, rec)
-			}
-			if c < 2 || c > 1<<32-1 {
-				return arena, corruptf("block at %d, record %d: count %d out of range", b.Off, rec, c)
-			}
-			n += k
-			in.Count = uint32(c)
-		}
-		if ctrl&ctrlHasAddr != 0 {
-			if !in.Op.HasMemOperand() {
-				return arena, corruptf("block at %d, record %d: address on %v op", b.Off, rec, in.Op)
-			}
-			d, k := binary.Varint(buf[n:])
-			if k <= 0 {
-				return arena, corruptf("block at %d, record %d: truncated addr delta", b.Off, rec)
-			}
-			n += k
-			prevAddr += uint64(d)
-			in.Addr = prevAddr
-		} else if in.Op.HasMemOperand() {
-			return arena, corruptf("block at %d, record %d: %v op without address", b.Off, rec, in.Op)
-		}
-		pos += n
-		cnt := in.N()
-		if in.Op != isa.OpDelay {
-			sumInsts += cnt
-		}
-		if in.Op.HasMemOperand() {
-			sumMem += cnt
-		}
-		arena = append(arena, in)
-	}
-	if pos != len(raw) {
-		return arena, corruptf("block at %d: %d trailing payload bytes", b.Off, len(raw)-pos)
-	}
-	if sumInsts != b.Insts || sumMem != b.MemOps {
-		return arena, corruptf("block at %d: decoded counts disagree with index entry", b.Off)
+	if err != nil {
+		return arena, corruptf("block at %d: %v", b.Off, err)
 	}
 	return arena, nil
 }

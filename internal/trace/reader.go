@@ -2,13 +2,10 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
@@ -19,47 +16,51 @@ import (
 
 // Reader streams a trace from an underlying reader: the header is
 // decoded eagerly by Open/NewReader (so a bad file fails fast, before a
-// simulation starts), then Read yields one instruction per call until a
-// clean io.EOF. Each Reader carries its own cursor and delta-decode
-// state — concurrent replays of one file open one Reader each and never
-// share anything.
+// simulation starts), then Read yields one instruction per call, or
+// ReadBatch many, until a clean io.EOF. Each Reader carries its own
+// cursor and delta-decode state — concurrent replays of one file open
+// one Reader each and never share anything.
 //
 // The Reader handles both format versions transparently: it sniffs the
 // gzip envelope by magic bytes (never by file extension) and
-// dispatches on the major version in the header. v2 blocks are decoded
-// one at a time into a reusable buffer, so sequential reads of a v2
-// file still hold only a block's worth of memory.
+// dispatches on the major version in the header. v1 records decode
+// straight out of the buffered window; v2 blocks are inflated one at a
+// time into a reusable buffer, so sequential reads of a v2 file still
+// hold only a block's worth of memory.
 type Reader struct {
 	file *os.File
 	gz   *gzip.Reader
 	br   *bufio.Reader
 
-	hdr      Header
-	version  int
-	prevPC   uint64
-	prevAddr uint64
+	hdr     Header
+	version int
+	st      recordState
+	// err is sticky: io.EOF or the first decode error, returned once
+	// every record decoded before it has been delivered.
+	err error
 
-	records uint64
-	insts   uint64
-	memOps  uint64
+	// ahead holds records Read has decoded but not yet returned, so
+	// one-at-a-time reads still decode a batch per call into the codec.
+	ahead    [readAhead]isa.Inst
+	aheadPos int
+	aheadN   int
 
-	// v2 sequential-decode state: the current block's compressed and
-	// inflated payloads (reused across blocks), the cursor into the
-	// inflated bytes, and the per-block record/count bookkeeping used
-	// to cross-check the block header.
+	// v2 sequential-decode state: the current block's compressed
+	// payload (reused across blocks), its inflated payload and the
+	// cursor into it, and the tallies st must reach when the block is
+	// drained.
 	comp      []byte
 	raw       []byte
 	rawPos    int
-	blkLeft   uint64
-	blkInsts  uint64
-	blkMemOps uint64
+	blkEnd    recordState
+	z         inflater
 	blocks    uint64
 	rawBytes  uint64
 	compBytes uint64
-	v2eof     bool
-	fr        io.ReadCloser
-	frSrc     bytes.Reader
 }
+
+// readAhead is the number of records Read decodes per refill.
+const readAhead = 64
 
 // Open opens path and decodes its header. The gzip envelope and the
 // format version are sniffed from the file's leading bytes; the file
@@ -193,180 +194,119 @@ func (r *Reader) readHeader() error {
 	return nil
 }
 
-// maxRecordBytes is the widest possible instruction record: the control
-// byte plus three maximum-length varints (pc delta, count, addr delta).
-const maxRecordBytes = 1 + 3*binary.MaxVarintLen64
-
 // Read decodes the next instruction record into out. It returns io.EOF
 // at a clean end of trace and an ErrCorrupt-wrapped error when the
-// stream ends mid-record or a record is malformed.
-//
-// The v1 fast path peeks a full worst-case record out of the buffer and
-// decodes it in place with the slice-based varint routines, consuming
-// it with one Discard — no per-byte interface dispatch, no allocation.
-// Near end of stream (or on a varint the window cannot resolve) it
-// falls back to readSlow, which consumes byte-at-a-time and reports
-// truncation precisely. Delta state is committed only after the whole
-// record decodes, so the fallback never sees half-applied deltas. The
-// v2 path decodes straight out of the current inflated block.
+// stream ends mid-record or a record is malformed. Records are decoded
+// a batch at a time into a small read-ahead buffer and served from it.
 func (r *Reader) Read(out *isa.Inst) error {
+	if r.aheadPos == r.aheadN {
+		if r.err != nil {
+			return r.err
+		}
+		r.aheadN, r.aheadPos = r.decode(r.ahead[:]), 0
+		if r.aheadN == 0 {
+			return r.err
+		}
+	}
+	*out = r.ahead[r.aheadPos]
+	r.aheadPos++
+	return nil
+}
+
+// ReadBatch decodes up to len(dst) records into dst and returns how
+// many it decoded. A short count comes with the error that ended the
+// stream: io.EOF at a clean end of trace, or an ErrCorrupt-wrapped
+// error; the records before it are valid either way. Once it has
+// returned an error, every later call returns 0 and the same error.
+func (r *Reader) ReadBatch(dst []isa.Inst) (int, error) {
+	n := copy(dst, r.ahead[r.aheadPos:r.aheadN])
+	r.aheadPos += n
+	if n == len(dst) {
+		return n, nil
+	}
+	if r.err == nil {
+		n += r.decode(dst[n:])
+	}
+	return n, r.err
+}
+
+// decode fills dst from the stream and returns the record count; a
+// short count leaves the terminal error in r.err.
+func (r *Reader) decode(dst []isa.Inst) int {
+	var n int
+	var err error
 	if r.version == Version2 {
-		return r.read2(out)
+		n, err = r.decode2(dst)
+	} else {
+		n, err = r.decode1(dst)
 	}
-	buf, err := r.br.Peek(maxRecordBytes)
 	if err != nil {
-		return r.readSlow(out)
+		r.err = err
 	}
-	ctrl := buf[0]
-	if ctrl&ctrlReserved != 0 {
-		return corruptf("record %d: reserved control bit set (%#02x)", r.records, ctrl)
-	}
-	*out = isa.Inst{Op: isa.Op(ctrl & ctrlOpMask), Phys: ctrl&ctrlPhys != 0, Count: 1}
-	n := 1
-	pc, addr := r.prevPC, r.prevAddr
-	if ctrl&ctrlHasPC != 0 {
-		d, k := binary.Varint(buf[n:])
-		if k <= 0 {
-			return r.readSlow(out)
-		}
-		n += k
-		pc += uint64(d)
-	}
-	out.PC = pc
-	if ctrl&ctrlHasCount != 0 {
-		c, k := binary.Uvarint(buf[n:])
-		if k <= 0 {
-			return r.readSlow(out)
-		}
-		if c < 2 || c > 1<<32-1 {
-			return corruptf("record %d: count %d out of range", r.records, c)
-		}
-		n += k
-		out.Count = uint32(c)
-	}
-	if ctrl&ctrlHasAddr != 0 {
-		if !out.Op.HasMemOperand() {
-			return corruptf("record %d: address on %v op", r.records, out.Op)
-		}
-		d, k := binary.Varint(buf[n:])
-		if k <= 0 {
-			return r.readSlow(out)
-		}
-		n += k
-		addr += uint64(d)
-		out.Addr = addr
-	} else if out.Op.HasMemOperand() {
-		return corruptf("record %d: %v op without address", r.records, out.Op)
-	}
-	r.br.Discard(n)
-	r.prevPC, r.prevAddr = pc, addr
-	r.records++
-	if out.Op != isa.OpDelay {
-		r.insts += out.N()
-	}
-	if out.Op.HasMemOperand() {
-		r.memOps += out.N()
-	}
-	return nil
+	return n
 }
 
-// read2 decodes the next record from the current v2 block, loading the
-// next block when the current one is drained. Record decoding mirrors
-// the v1 fast path but runs over a fully in-memory slice, so there is
-// no slow fallback: any short varint means a malformed block.
-func (r *Reader) read2(out *isa.Inst) error {
-	if r.blkLeft == 0 {
-		if err := r.loadBlock(); err != nil {
-			return err
+// decode1 decodes v1 records straight out of the buffered window. A
+// record that crosses the window's end is left in place and decoded
+// again after the refill; delta state advances only past whole
+// records. At the end of the stream a partial record is ErrCorrupt.
+func (r *Reader) decode1(dst []isa.Inst) (int, error) {
+	n := 0
+	for n < len(dst) {
+		// Refill until the window holds a worst-case record; it is
+		// shorter only at the end of the stream (or on a read error).
+		buf, err := r.br.Peek(maxRecordBytes)
+		if err == nil {
+			buf, _ = r.br.Peek(r.br.Buffered())
 		}
-	}
-	buf := r.raw[r.rawPos:]
-	if len(buf) == 0 {
-		return corruptf("block %d: payload underruns its record count", r.blocks-1)
-	}
-	ctrl := buf[0]
-	if ctrl&ctrlReserved != 0 {
-		return corruptf("record %d: reserved control bit set (%#02x)", r.records, ctrl)
-	}
-	*out = isa.Inst{Op: isa.Op(ctrl & ctrlOpMask), Phys: ctrl&ctrlPhys != 0, Count: 1}
-	n := 1
-	pc, addr := r.prevPC, r.prevAddr
-	if ctrl&ctrlHasPC != 0 {
-		d, k := binary.Varint(buf[n:])
-		if k <= 0 {
-			return corruptf("record %d: truncated pc delta", r.records)
-		}
+		k, used, derr := decodeRecords(buf, dst[n:], &r.st)
+		r.br.Discard(used)
 		n += k
-		pc += uint64(d)
-	}
-	out.PC = pc
-	if ctrl&ctrlHasCount != 0 {
-		c, k := binary.Uvarint(buf[n:])
-		if k <= 0 {
-			return corruptf("record %d: truncated count", r.records)
+		switch {
+		case derr != nil:
+			return n, corruptf("%v", derr)
+		case err == nil || n == len(dst):
+		case used < len(buf) || err != io.EOF:
+			return n, corruptf("record %d: %v", r.st.records, eofErr(err))
+		default:
+			return n, io.EOF
 		}
-		if c < 2 || c > 1<<32-1 {
-			return corruptf("record %d: count %d out of range", r.records, c)
-		}
-		n += k
-		out.Count = uint32(c)
 	}
-	if ctrl&ctrlHasAddr != 0 {
-		if !out.Op.HasMemOperand() {
-			return corruptf("record %d: address on %v op", r.records, out.Op)
-		}
-		d, k := binary.Varint(buf[n:])
-		if k <= 0 {
-			return corruptf("record %d: truncated addr delta", r.records)
-		}
-		n += k
-		addr += uint64(d)
-		out.Addr = addr
-	} else if out.Op.HasMemOperand() {
-		return corruptf("record %d: %v op without address", r.records, out.Op)
-	}
-	r.rawPos += n
-	r.prevPC, r.prevAddr = pc, addr
-	r.records++
-	cnt := out.N()
-	if out.Op != isa.OpDelay {
-		r.insts += cnt
-		r.blkInsts += cnt
-	}
-	if out.Op.HasMemOperand() {
-		r.memOps += cnt
-		r.blkMemOps += cnt
-	}
-	r.blkLeft--
-	if r.blkLeft == 0 {
-		return r.finishBlock()
-	}
-	return nil
+	return n, nil
 }
 
-// finishBlock cross-checks a fully decoded block against its header:
-// the payload must be exactly consumed and the decoded counts must
-// match the declared ones, so a block whose header and body disagree
-// (an index/offset mixup, a spliced file) is corrupt rather than a
-// silently wrong replay.
-func (r *Reader) finishBlock() error {
-	if r.rawPos != len(r.raw) {
-		return corruptf("block %d: %d trailing payload bytes", r.blocks-1, len(r.raw)-r.rawPos)
+// decode2 decodes v2 records out of the current inflated block,
+// loading the next block when one is drained and cross-checking each
+// drained block against its header.
+func (r *Reader) decode2(dst []isa.Inst) (int, error) {
+	n := 0
+	for n < len(dst) {
+		if r.st.records == r.blkEnd.records {
+			if err := r.loadBlock(); err != nil {
+				return n, err
+			}
+		}
+		want := dst[n:]
+		if left := r.blkEnd.records - r.st.records; uint64(len(want)) > left {
+			want = want[:left]
+		}
+		k, used, err := decodeRecords(r.raw[r.rawPos:], want, &r.st)
+		r.rawPos += used
+		n += k
+		if err == nil && (k < len(want) || r.st.records == r.blkEnd.records) {
+			err = blockDone(r.raw, r.rawPos, r.st, r.blkEnd)
+		}
+		if err != nil {
+			return n, corruptf("block %d: %v", r.blocks-1, err)
+		}
 	}
-	if r.blkInsts != 0 || r.blkMemOps != 0 {
-		return corruptf("block %d: decoded counts disagree with block header (insts off by %d, mem ops by %d)",
-			r.blocks-1, r.blkInsts, r.blkMemOps)
-	}
-	return nil
+	return n, nil
 }
 
-// loadBlock reads the next block header, verifies the payload CRC, and
-// inflates it into the reusable raw buffer. It returns io.EOF at the
+// loadBlock reads the next block header and payload and inflates the
+// payload into the reusable raw buffer. It returns io.EOF at the
 // sentinel that ends the block section.
 func (r *Reader) loadBlock() error {
-	if r.v2eof {
-		return io.EOF
-	}
 	nRec, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		return corruptf("block %d: header: %v", r.blocks, eofErr(err))
@@ -375,7 +315,6 @@ func (r *Reader) loadBlock() error {
 		// Sentinel: the record section is over. The index and trailer
 		// that follow are for seekable readers; a sequential pass
 		// simply stops here.
-		r.v2eof = true
 		return io.EOF
 	}
 	if nRec > blockRecords {
@@ -414,107 +353,35 @@ func (r *Reader) loadBlock() error {
 	if _, err := io.ReadFull(r.br, crcb[:]); err != nil {
 		return corruptf("block %d: truncated CRC: %v", r.blocks, eofErr(err))
 	}
-	want := binary.LittleEndian.Uint32(crcb[:])
-	if got := crc32.ChecksumIEEE(r.comp); got != want {
-		return corruptf("block %d: CRC mismatch (got %#x, want %#x)", r.blocks, got, want)
-	}
-	if uint64(cap(r.raw)) < rawLen {
-		r.raw = make([]byte, rawLen)
-	}
-	r.raw = r.raw[:rawLen]
-	r.frSrc.Reset(r.comp)
-	if r.fr == nil {
-		r.fr = flate.NewReader(&r.frSrc)
-	} else if err := r.fr.(flate.Resetter).Reset(&r.frSrc, nil); err != nil {
-		return corruptf("block %d: flate reset: %v", r.blocks, err)
-	}
-	if _, err := io.ReadFull(r.fr, r.raw); err != nil {
-		return corruptf("block %d: inflate: %v", r.blocks, eofErr(err))
-	}
-	var one [1]byte
-	if n, _ := r.fr.Read(one[:]); n != 0 {
-		return corruptf("block %d: inflates past its declared raw length %d", r.blocks, rawLen)
+	if r.raw, err = r.z.inflate(r.comp, binary.LittleEndian.Uint32(crcb[:]), rawLen); err != nil {
+		return corruptf("block %d: %v", r.blocks, err)
 	}
 	r.rawPos = 0
-	r.blkLeft = nRec
 	// Per-block delta reset: each block decodes from a zero base, so
-	// blocks are independently decodable.
-	r.prevPC, r.prevAddr = 0, 0
-	// Decoded counts subtract from the declared ones; finishBlock
-	// requires both to land on exactly zero.
-	r.blkInsts = -nInsts
-	r.blkMemOps = -nMemOps
+	// blocks are independently decodable. The tallies run on; the
+	// block is done when they reach blkEnd.
+	r.st.pc, r.st.addr = 0, 0
+	r.blkEnd = recordState{
+		records: r.st.records + nRec,
+		insts:   r.st.insts + nInsts,
+		memOps:  r.st.memOps + nMemOps,
+	}
 	r.blocks++
 	r.rawBytes += rawLen
 	r.compBytes += compLen
 	return nil
 }
 
-// readSlow is the byte-at-a-time v1 record decoder: the reference path
-// the Peek fast lane falls back to when fewer than maxRecordBytes
-// remain buffered (end of stream) or a varint fails to resolve in the
-// window.
-func (r *Reader) readSlow(out *isa.Inst) error {
-	ctrl, err := r.br.ReadByte()
-	if err == io.EOF {
-		return io.EOF
-	}
-	if err != nil {
-		return corruptf("record %d: %v", r.records, err)
-	}
-	if ctrl&ctrlReserved != 0 {
-		return corruptf("record %d: reserved control bit set (%#02x)", r.records, ctrl)
-	}
-	*out = isa.Inst{Op: isa.Op(ctrl & ctrlOpMask), Phys: ctrl&ctrlPhys != 0, Count: 1}
-	if ctrl&ctrlHasPC != 0 {
-		d, err := r.varint("pc delta")
-		if err != nil {
-			return err
-		}
-		r.prevPC += uint64(d)
-	}
-	out.PC = r.prevPC
-	if ctrl&ctrlHasCount != 0 {
-		c, err := r.uvarint("count")
-		if err != nil {
-			return err
-		}
-		if c < 2 || c > 1<<32-1 {
-			return corruptf("record %d: count %d out of range", r.records, c)
-		}
-		out.Count = uint32(c)
-	}
-	if ctrl&ctrlHasAddr != 0 {
-		if !out.Op.HasMemOperand() {
-			return corruptf("record %d: address on %v op", r.records, out.Op)
-		}
-		d, err := r.varint("addr delta")
-		if err != nil {
-			return err
-		}
-		r.prevAddr += uint64(d)
-		out.Addr = r.prevAddr
-	} else if out.Op.HasMemOperand() {
-		return corruptf("record %d: %v op without address", r.records, out.Op)
-	}
-	r.records++
-	if out.Op != isa.OpDelay {
-		r.insts += out.N()
-	}
-	if out.Op.HasMemOperand() {
-		r.memOps += out.N()
-	}
-	return nil
-}
-
-// Records returns the number of records decoded so far.
-func (r *Reader) Records() uint64 { return r.records }
+// Records returns the number of records decoded so far. Read decodes
+// ahead of the records it has returned, so Records, Insts and MemOps
+// describe the whole trace once Read or ReadBatch has returned io.EOF.
+func (r *Reader) Records() uint64 { return r.st.records }
 
 // Insts returns the dynamic instruction count decoded so far.
-func (r *Reader) Insts() uint64 { return r.insts }
+func (r *Reader) Insts() uint64 { return r.st.insts }
 
 // MemOps returns the memory-operand instruction count decoded so far.
-func (r *Reader) MemOps() uint64 { return r.memOps }
+func (r *Reader) MemOps() uint64 { return r.st.memOps }
 
 // Close releases the gzip envelope and the file, if Open opened one.
 func (r *Reader) Close() error {
@@ -532,14 +399,6 @@ func (r *Reader) Close() error {
 
 func (r *Reader) uvarint(what string) (uint64, error) {
 	v, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return 0, corruptf("%s: %v", what, eofErr(err))
-	}
-	return v, nil
-}
-
-func (r *Reader) varint(what string) (int64, error) {
-	v, err := binary.ReadVarint(r.br)
 	if err != nil {
 		return 0, corruptf("%s: %v", what, eofErr(err))
 	}

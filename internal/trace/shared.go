@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/isa"
@@ -195,9 +196,10 @@ func (s *Shared) evictLocked(keep *sharedEntry) {
 	}
 }
 
-// decodeAll streams every record of path into memory. For a v2 file
-// the block index sizes the arena exactly up front; v1 grows by
-// appending.
+// decodeAll decodes every record of path into memory with ReadBatch,
+// straight into the arena. For a v2 file the block index sizes the
+// arena up front, with one spare slot so the call that meets the end
+// of the trace does not grow it; v1 grows as it goes.
 func decodeAll(path string) (Header, []isa.Inst, error) {
 	r, err := Open(path)
 	if err != nil {
@@ -211,21 +213,22 @@ func decodeAll(path string) (Header, []isa.Inst, error) {
 			for _, b := range blocks {
 				total += b.Records
 			}
-			insts = make([]isa.Inst, 0, total)
+			insts = make([]isa.Inst, 0, total+1)
 		}
 	}
-	var in isa.Inst
 	for {
-		err := r.Read(&in)
+		if len(insts) == cap(insts) {
+			insts = slices.Grow(insts, blockRecords)
+		}
+		n, err := r.ReadBatch(insts[len(insts):cap(insts)])
+		insts = insts[:len(insts)+n]
 		if err == io.EOF {
-			break
+			return r.Header(), insts, nil
 		}
 		if err != nil {
 			return Header{}, nil, err
 		}
-		insts = append(insts, in)
 	}
-	return r.Header(), insts, nil
 }
 
 // contentKey fingerprints a trace file's contents. A v2 file is keyed

@@ -46,42 +46,36 @@ func (s *fileSource) Next(out *isa.Inst) bool {
 	if s.done {
 		return false
 	}
-	err := s.r.Read(out)
-	if err == io.EOF {
-		s.done = true
-		s.r.Close()
+	if err := s.r.Read(out); err != nil {
+		s.end(err)
 		return false
-	}
-	if err != nil {
-		s.r.Close()
-		panic(fmt.Sprintf("trace: %s: %v", s.path, err))
 	}
 	return true
 }
 
 // NextBatch implements isa.BatchSource: it decodes up to len(out)
-// records with direct (devirtualized) Reader calls, so batched replay
-// pays the isa.Source interface dispatch once per batch instead of
-// once per record.
+// records with one Reader.ReadBatch call, so batched replay pays the
+// isa.Source interface dispatch once per batch instead of once per
+// record.
 func (s *fileSource) NextBatch(out []isa.Inst) int {
 	if s.done {
 		return 0
 	}
-	n := 0
-	for n < len(out) {
-		err := s.r.Read(&out[n])
-		if err == io.EOF {
-			s.done = true
-			s.r.Close()
-			break
-		}
-		if err != nil {
-			s.r.Close()
-			panic(fmt.Sprintf("trace: %s: %v", s.path, err))
-		}
-		n++
+	n, err := s.r.ReadBatch(out)
+	if err != nil {
+		s.end(err)
 	}
 	return n
+}
+
+// end closes the exhausted reader and panics if the stream ended in
+// corruption rather than a clean io.EOF.
+func (s *fileSource) end(err error) {
+	s.done = true
+	s.r.Close()
+	if err != io.EOF {
+		panic(fmt.Sprintf("trace: %s: %v", s.path, err))
+	}
 }
 
 // Close releases the underlying reader. The engine calls it when a run

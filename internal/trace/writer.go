@@ -38,20 +38,15 @@ type Writer struct {
 	version    int
 	headerDone bool
 	closed     bool
-	prevPC     uint64
-	prevAddr   uint64
+	segments   int
+	// st is the running codec state; blk is its snapshot at the start
+	// of the current v2 block, so the block's own tallies are st - blk.
+	st  recordState
+	blk recordState
 
-	records  uint64
-	insts    uint64
-	memOps   uint64
-	segments int
-
-	// v2 block state: the current block's encoded records and counts,
-	// the reusable compressor, and the accumulated index.
+	// v2 block state: the current block's encoded records, the
+	// reusable compressor, and the accumulated index.
 	blkRaw     []byte
-	blkRecords uint64
-	blkInsts   uint64
-	blkMemOps  uint64
 	comp       bytes.Buffer
 	fw         *flate.Writer
 	index      []blockInfo
@@ -60,7 +55,7 @@ type Writer struct {
 	indexBytes int
 	v2err      error
 
-	buf [binary.MaxVarintLen64]byte
+	buf [maxRecordBytes]byte
 }
 
 // Create opens path for writing and returns a v2 Writer over it. The
@@ -158,101 +153,23 @@ func (w *Writer) WriteHeader(h Header) error {
 	return w.err()
 }
 
-// WriteInst appends one instruction record. Records are canonicalised:
-// a zero Count is stored as 1 (the two are semantically identical, see
-// isa.Inst.N) and the address field is stored only for ops that carry a
-// memory operand.
+// WriteInst appends one instruction record (see appendRecord for how
+// records are canonicalised). v1 streams the record straight out; v2
+// gathers it into the current block and seals the block when it
+// reaches blockRecords records.
 func (w *Writer) WriteInst(in isa.Inst) error {
 	if !w.headerDone {
 		return fmt.Errorf("trace: WriteInst before WriteHeader")
 	}
-	if w.version == Version2 {
-		return w.writeInst2(in)
+	if w.version == Version1 {
+		w.bw.Write(appendRecord(w.buf[:0], in, &w.st))
+		return w.err()
 	}
-	ctrl := uint8(in.Op) & ctrlOpMask
-	if in.Phys {
-		ctrl |= ctrlPhys
-	}
-	count := in.N()
-	if count > 1 {
-		ctrl |= ctrlHasCount
-	}
-	if in.PC != w.prevPC {
-		ctrl |= ctrlHasPC
-	}
-	hasAddr := in.Op.HasMemOperand()
-	if hasAddr {
-		ctrl |= ctrlHasAddr
-	}
-	if err := w.bw.WriteByte(ctrl); err != nil {
-		return err
-	}
-	if ctrl&ctrlHasPC != 0 {
-		w.varint(int64(in.PC - w.prevPC))
-		w.prevPC = in.PC
-	}
-	if ctrl&ctrlHasCount != 0 {
-		w.uvarint(count)
-	}
-	if hasAddr {
-		w.varint(int64(in.Addr - w.prevAddr))
-		w.prevAddr = in.Addr
-	}
-	w.records++
-	if in.Op != isa.OpDelay {
-		w.insts += count
-	}
-	if hasAddr {
-		w.memOps += count
-	}
-	return w.err()
-}
-
-// writeInst2 encodes one record into the current block's raw buffer
-// and seals the block when it reaches blockRecords records. The record
-// encoding is byte-identical to v1; only the framing differs.
-func (w *Writer) writeInst2(in isa.Inst) error {
 	if w.v2err != nil {
 		return w.v2err
 	}
-	ctrl := uint8(in.Op) & ctrlOpMask
-	if in.Phys {
-		ctrl |= ctrlPhys
-	}
-	count := in.N()
-	if count > 1 {
-		ctrl |= ctrlHasCount
-	}
-	if in.PC != w.prevPC {
-		ctrl |= ctrlHasPC
-	}
-	hasAddr := in.Op.HasMemOperand()
-	if hasAddr {
-		ctrl |= ctrlHasAddr
-	}
-	w.blkRaw = append(w.blkRaw, ctrl)
-	if ctrl&ctrlHasPC != 0 {
-		w.blkRaw = binary.AppendVarint(w.blkRaw, int64(in.PC-w.prevPC))
-		w.prevPC = in.PC
-	}
-	if ctrl&ctrlHasCount != 0 {
-		w.blkRaw = binary.AppendUvarint(w.blkRaw, count)
-	}
-	if hasAddr {
-		w.blkRaw = binary.AppendVarint(w.blkRaw, int64(in.Addr-w.prevAddr))
-		w.prevAddr = in.Addr
-	}
-	w.blkRecords++
-	w.records++
-	if in.Op != isa.OpDelay {
-		w.blkInsts += count
-		w.insts += count
-	}
-	if hasAddr {
-		w.blkMemOps += count
-		w.memOps += count
-	}
-	if w.blkRecords >= blockRecords {
+	w.blkRaw = appendRecord(w.blkRaw, in, &w.st)
+	if w.st.records-w.blk.records >= blockRecords {
 		return w.flushBlock()
 	}
 	return nil
@@ -263,7 +180,13 @@ func (w *Writer) writeInst2(in isa.Inst) error {
 // index entry, and reset the per-block delta state so the next block
 // decodes from scratch.
 func (w *Writer) flushBlock() error {
-	if w.blkRecords == 0 {
+	b := blockInfo{
+		Records: w.st.records - w.blk.records,
+		Insts:   w.st.insts - w.blk.insts,
+		MemOps:  w.st.memOps - w.blk.memOps,
+		RawLen:  uint64(len(w.blkRaw)),
+	}
+	if b.Records == 0 {
 		return nil
 	}
 	// The index needs the block's exact file offset; flushing the
@@ -272,7 +195,7 @@ func (w *Writer) flushBlock() error {
 		w.v2err = err
 		return err
 	}
-	off := w.cw.n
+	b.Off = w.cw.n
 	w.comp.Reset()
 	if w.fw == nil {
 		fw, err := flate.NewWriter(&w.comp, flate.DefaultCompression)
@@ -292,30 +215,21 @@ func (w *Writer) flushBlock() error {
 		w.v2err = err
 		return err
 	}
-	crc := crc32.ChecksumIEEE(w.comp.Bytes())
-	w.uvarint(w.blkRecords)
-	w.uvarint(w.blkInsts)
-	w.uvarint(w.blkMemOps)
-	w.uvarint(uint64(len(w.blkRaw)))
-	w.uvarint(uint64(w.comp.Len()))
+	b.CompLen = uint64(w.comp.Len())
+	b.CRC = crc32.ChecksumIEEE(w.comp.Bytes())
+	w.uvarint(b.Records)
+	w.uvarint(b.Insts)
+	w.uvarint(b.MemOps)
+	w.uvarint(b.RawLen)
+	w.uvarint(b.CompLen)
 	w.bw.Write(w.comp.Bytes())
-	var crcb [4]byte
-	binary.LittleEndian.PutUint32(crcb[:], crc)
-	w.bw.Write(crcb[:])
-	w.index = append(w.index, blockInfo{
-		Off:     off,
-		Records: w.blkRecords,
-		Insts:   w.blkInsts,
-		MemOps:  w.blkMemOps,
-		RawLen:  uint64(len(w.blkRaw)),
-		CompLen: uint64(w.comp.Len()),
-		CRC:     crc,
-	})
-	w.rawBytes += uint64(len(w.blkRaw))
-	w.compBytes += uint64(w.comp.Len())
+	w.bw.Write(binary.LittleEndian.AppendUint32(w.buf[:0], b.CRC))
+	w.index = append(w.index, b)
+	w.rawBytes += b.RawLen
+	w.compBytes += b.CompLen
 	w.blkRaw = w.blkRaw[:0]
-	w.blkRecords, w.blkInsts, w.blkMemOps = 0, 0, 0
-	w.prevPC, w.prevAddr = 0, 0
+	w.st.pc, w.st.addr = 0, 0
+	w.blk = w.st
 	return w.err()
 }
 
@@ -343,14 +257,14 @@ func (w *Writer) finishV2() error {
 }
 
 // Records returns the number of records written so far.
-func (w *Writer) Records() uint64 { return w.records }
+func (w *Writer) Records() uint64 { return w.st.records }
 
 // Insts returns the dynamic instruction count written so far (batched
 // ops at their batch size, delays excluded).
-func (w *Writer) Insts() uint64 { return w.insts }
+func (w *Writer) Insts() uint64 { return w.st.insts }
 
 // MemOps returns the memory-operand instruction count written so far.
-func (w *Writer) MemOps() uint64 { return w.memOps }
+func (w *Writer) MemOps() uint64 { return w.st.memOps }
 
 // Segments returns the number of layout segments in the written header.
 func (w *Writer) Segments() int { return w.segments }
@@ -405,11 +319,6 @@ func (w *Writer) Close() error {
 
 func (w *Writer) uvarint(v uint64) {
 	n := binary.PutUvarint(w.buf[:], v)
-	w.bw.Write(w.buf[:n])
-}
-
-func (w *Writer) varint(v int64) {
-	n := binary.PutVarint(w.buf[:], v)
 	w.bw.Write(w.buf[:n])
 }
 

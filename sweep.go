@@ -245,6 +245,30 @@ func (s *Sweep) Points() []Point {
 	return pts
 }
 
+// pointConfig resolves point p's executed Config: the grid axes
+// copied onto Base, then the Configure hook. Run and PointKey both call
+// it, so a cache key always describes the config that ran.
+func (s *Sweep) pointConfig(p Point) (Config, error) {
+	cfg := s.Base
+	cfg.Design = p.Design
+	cfg.Policy = p.Policy
+	cfg.Seed = p.Seed
+	cfg.OSCfg.Tiers = p.Tiers
+	cfg.OSCfg.TierPolicy = p.TierPolicy
+	if len(cfg.OSCfg.Tiers) == 0 {
+		// A flat cell of the tier axis ignores the policy axis: a
+		// migration policy is meaningless without tiers, and leaving
+		// it set would fail engine validation.
+		cfg.OSCfg.TierPolicy = ""
+	}
+	if s.Configure != nil {
+		if err := s.Configure(&cfg, p); err != nil {
+			return Config{}, err
+		}
+	}
+	return cfg, nil
+}
+
 // Run executes the grid — or, with Shard set, this shard's slice of it
 // — and returns a Report with one Result per completed point, in
 // Points() order.
@@ -327,22 +351,9 @@ func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 			continue
 		}
 		p := pts[idx]
-		cfg := s.Base
-		cfg.Design = p.Design
-		cfg.Policy = p.Policy
-		cfg.Seed = p.Seed
-		cfg.OSCfg.Tiers = p.Tiers
-		cfg.OSCfg.TierPolicy = p.TierPolicy
-		if len(cfg.OSCfg.Tiers) == 0 {
-			// A flat cell of the tier axis ignores the policy axis: a
-			// migration policy is meaningless without tiers, and leaving
-			// it set would fail engine validation.
-			cfg.OSCfg.TierPolicy = ""
-		}
-		if s.Configure != nil {
-			if err := s.Configure(&cfg, p); err != nil {
-				return nil, fmt.Errorf("virtuoso: point %d (%s/%s/%s): %w", p.Index, p.Workload, p.Design, p.Policy, err)
-			}
+		cfg, err := s.pointConfig(p)
+		if err != nil {
+			return nil, fmt.Errorf("virtuoso: point %d (%s/%s/%s): %w", p.Index, p.Workload, p.Design, p.Policy, err)
 		}
 		var key string
 		if cache != nil {
