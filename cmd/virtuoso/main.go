@@ -13,6 +13,9 @@
 // Grid-valued flags (-workload, -design, -policy, -seeds) accept
 // comma-separated lists; when the grid has more than one point the
 // sweep runs on a bounded worker pool and prints one row per point.
+// The grid flags are a sweep spec (docs/sweep-service.md maps each flag
+// to its field), checked exactly as `virtuoso sweep run -spec` checks a
+// spec file before anything simulates.
 //
 // With -multi the -workload list becomes one multiprogrammed run
 // instead of a grid axis: every named workload is a concurrent process
@@ -83,30 +86,9 @@ func main() {
 		sweepCmd(os.Args[2:])
 		return
 	}
-	var (
-		workload   = flag.String("workload", "BFS", "workload name(s), comma-separated (-list to enumerate; registered names accepted)")
-		design     = flag.String("design", "radix", "translation design(s), comma-separated: radix|ech|hdc|ht|utopia|rmm|midgard|directseg, or a registered name")
-		policy     = flag.String("policy", "thp", "allocation policy(ies), comma-separated: bd|thp|cr-thp|ar-thp|utopia|eager, or a registered name")
-		mode       = flag.String("mode", "imitation", "OS methodology: imitation|emulation")
-		insts      = flag.Uint64("insts", 2_000_000, "max application instructions (0 = run to completion)")
-		scale      = flag.Float64("scale", 0.25, "workload footprint scale")
-		frag       = flag.Float64("frag", 0.80, "fragmentation level (fraction of 2MB blocks unavailable)")
-		seeds      = flag.String("seeds", "1", "simulation seed(s), comma-separated")
-		parallel   = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		jsonOut    = flag.Bool("json", false, "emit results as JSON")
-		list       = flag.Bool("list", false, "list workloads, designs, and policies, then exit")
-		multi      = flag.Bool("multi", false, "run the -workload list as one multiprogrammed mix (concurrent processes)")
-		quantum    = flag.Uint64("quantum", 0, "scheduler time slice in simulated cycles (0 = default; -multi only)")
-		asidRet    = flag.Bool("asid-retention", false, "retain TLB entries across context switches by ASID tag instead of flushing (-multi only)")
-		tiers      = flag.String("tiers", "", "slow memory tiers, comma-separated name:bytes:readLat:writeLat[:bytesPerCycle] (e.g. cxl:64M:600:900:8,nvm:1G:2500:8000:2)")
-		tierPolicy = flag.String("tier-policy", "", "tier migration policy(ies), comma-separated: hotcold|clock, or a registered name (requires -tiers)")
-		progress   = flag.Bool("progress", false, "stream live per-point progress snapshots to stderr while simulating")
-		shard      = flag.String("shard", "", "run only a deterministic slice of the grid, as i/N (shard files merge with `virtuoso sweep merge`)")
-		ckpt       = flag.String("checkpoint", "", "JSONL checkpoint file: persist per-point results as they land and resume from it on restart")
-	)
-	flag.Parse()
-
-	if *list {
+	g, err := parseGrid(flag.CommandLine, os.Args[1:])
+	check(err)
+	if g.list {
 		fmt.Println("long-running:")
 		for _, w := range virtuoso.LongRunningSuite() {
 			fmt.Printf("  %-12s footprint=%dMB\n", w.Name(), w.FootprintBytes()>>20)
@@ -130,110 +112,20 @@ func main() {
 		fmt.Printf("tier policies: %v\n", virtuoso.KnownTierPolicies())
 		return
 	}
-
-	// Validate every name up front: unknown designs, policies, or modes
-	// are hard errors, not silently-accepted defaults.
-	designs, err := parseDesigns(*design)
-	check(err)
-	policies, err := parsePolicies(*policy)
-	check(err)
-	m, err := virtuoso.ParseMode(*mode)
-	check(err)
-	seedList, err := parseSeeds(*seeds)
-	check(err)
-	workloadList := splitList(*workload)
-	for _, w := range workloadList {
-		// Validate with the run's construction parameters: a registered
-		// workload's constructor sees the same params the sweep points
-		// will build with, not zero-valued defaults.
-		if _, err := virtuoso.NamedWorkloadWith(w, virtuoso.WorkloadParams{Scale: *scale}); err != nil {
-			check(fmt.Errorf("%w (try -list)", err))
-		}
-	}
-	if *frag < 0 || *frag > 1 {
-		check(fmt.Errorf("virtuoso: -frag %v out of range [0, 1]", *frag))
-	}
-	tierSpecs, err := parseTierSpecs(*tiers)
-	check(err)
-	var tierPolicies []string
-	for _, name := range splitList(*tierPolicy) {
-		p, err := virtuoso.ParseTierPolicy(name)
-		check(err)
-		tierPolicies = append(tierPolicies, p)
-	}
-	if len(tierPolicies) > 0 && len(tierSpecs) == 0 {
-		check(fmt.Errorf("virtuoso: -tier-policy set without -tiers"))
-	}
-
-	base := virtuoso.ScaledConfig()
-	base.Mode = m
-	base.MaxAppInsts = *insts
-	base.FragFree2M = 1 - *frag
-	base.QuantumCycles = *quantum
-	base.ASIDRetention = *asidRet
-
-	// -policy was left at its default: pair designs with their natural
-	// policies (utopia wants its own allocator, RMM eager paging).
-	policyFlagSet := false
-	flag.Visit(func(f *flag.Flag) { policyFlagSet = policyFlagSet || f.Name == "policy" })
-
-	// -multi turns the workload list into one multiprogrammed mix; the
-	// other axes (designs, policies, seeds) still expand the grid.
-	gridWorkloads := workloadList
-	var mixes [][]string
-	if *multi {
-		gridWorkloads = nil
-		mixes = [][]string{workloadList}
-	}
-
-	sweep := &virtuoso.Sweep{
-		Base:         base,
-		Workloads:    gridWorkloads,
-		Mixes:        mixes,
-		Designs:      designs,
-		Policies:     policies,
-		Seeds:        seedList,
-		TierPolicies: tierPolicies,
-		Params:       virtuoso.WorkloadParams{Scale: *scale},
-		Parallel:     *parallel,
-		Configure: func(cfg *virtuoso.Config, p virtuoso.Point) error {
-			if policyFlagSet {
-				return nil
-			}
-			switch cfg.Design {
-			case virtuoso.DesignUtopia:
-				cfg.Policy = virtuoso.PolicyUtopia
-			case virtuoso.DesignRMM:
-				cfg.Policy = virtuoso.PolicyEager
-			}
-			return nil
-		},
-		Checkpoint: *ckpt,
-	}
-	if len(tierSpecs) > 0 {
-		sweep.TierSpecs = [][]virtuoso.TierSpec{tierSpecs}
-	}
-	sweep.Shard, err = virtuoso.ParseShard(*shard)
-	check(err)
-	// The natural-policy Configure hook changes results in a way the
-	// declarative spec fields cannot express, so salt the spec hash with
-	// it: a checkpoint written under the pairing cannot be resumed by a
-	// run without it, and vice versa.
-	if !policyFlagSet {
-		sweep.Label = "cli-natural-policies"
-	}
+	sweep := g.sweep
 
 	// -progress streams interval snapshots from inside each running
 	// point — the Observer API driving a live progress display. Points
 	// run concurrently, so one mutex serialises the stderr lines.
-	if *progress {
+	if g.progress {
 		var mu sync.Mutex
+		insts := sweep.Base.MaxAppInsts
 		sweep.Observe = func(p virtuoso.Point) virtuoso.Observer {
 			label := fmt.Sprintf("%s/%s/%s seed=%d", p.Workload, p.Design, p.Policy, p.Seed)
 			// -insts bounds each process individually, while the
 			// snapshot counters aggregate the whole mix: scale the
 			// denominator, and clamp since workloads may finish early.
-			bound := *insts * uint64(max(1, len(p.Mix)))
+			bound := insts * uint64(max(1, len(p.Mix)))
 			return virtuoso.ObserverFunc(func(s virtuoso.Snapshot) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -253,7 +145,7 @@ func main() {
 	defer stop()
 
 	points := sweep.Points()
-	if len(points) > 1 && !*jsonOut {
+	if len(points) > 1 && !g.json {
 		sweep.Progress = func(ev virtuoso.SweepEvent) {
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s/%s/%s seed=%d\n",
 				ev.Done, ev.Total, ev.Point.Workload, ev.Point.Design, ev.Point.Policy, ev.Point.Seed)
@@ -269,10 +161,8 @@ func main() {
 	}
 
 	switch {
-	case *jsonOut:
-		data, err := report.JSON()
-		check(err)
-		fmt.Println(string(data))
+	case g.json:
+		check(writeReport(report, false, ""))
 	case len(report.Results) == 1 && report.Results[0].Multi != nil:
 		printMulti(report.Results[0])
 	case len(report.Results) == 1:
@@ -280,6 +170,110 @@ func main() {
 	default:
 		printGrid(report)
 	}
+}
+
+// grid is the parsed top-level command line: the sweep the grid flags
+// describe plus the flags that only shape output.
+type grid struct {
+	sweep                *virtuoso.Sweep
+	json, list, progress bool
+}
+
+// parseGrid parses the top-level flags into fs. The comma-valued grid
+// flags are a SweepSpec, so every name and range is checked by
+// SweepSpec.Sweep, exactly as for `virtuoso sweep run -spec`.
+func parseGrid(fs *flag.FlagSet, args []string) (*grid, error) {
+	var (
+		workload   = fs.String("workload", "BFS", "workload name(s), comma-separated (-list to enumerate; registered names accepted)")
+		design     = fs.String("design", "radix", "translation design(s), comma-separated: radix|ech|hdc|ht|utopia|rmm|midgard|directseg, or a registered name")
+		policy     = fs.String("policy", "thp", "allocation policy(ies), comma-separated: bd|thp|cr-thp|ar-thp|utopia|eager, or a registered name")
+		mode       = fs.String("mode", "imitation", "OS methodology: imitation|emulation")
+		insts      = fs.Uint64("insts", 2_000_000, "max application instructions (0 = run to completion)")
+		scale      = fs.Float64("scale", 0.25, "workload footprint scale")
+		frag       = fs.Float64("frag", 0.80, "fragmentation level (fraction of 2MB blocks unavailable)")
+		seeds      = fs.String("seeds", "1", "simulation seed(s), comma-separated")
+		parallel   = fs.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+		jsonOut    = fs.Bool("json", false, "emit results as JSON")
+		list       = fs.Bool("list", false, "list workloads, designs, and policies, then exit")
+		multi      = fs.Bool("multi", false, "run the -workload list as one multiprogrammed mix (concurrent processes)")
+		quantum    = fs.Uint64("quantum", 0, "scheduler time slice in simulated cycles (0 = default; -multi only)")
+		asidRet    = fs.Bool("asid-retention", false, "retain TLB entries across context switches by ASID tag instead of flushing (-multi only)")
+		tiers      = fs.String("tiers", "", "slow memory tiers, comma-separated name:bytes:readLat:writeLat[:bytesPerCycle] (e.g. cxl:64M:600:900:8,nvm:1G:2500:8000:2)")
+		tierPolicy = fs.String("tier-policy", "", "tier migration policy(ies), comma-separated: hotcold|clock, or a registered name (requires -tiers)")
+		progress   = fs.Bool("progress", false, "stream live per-point progress snapshots to stderr while simulating")
+		shard      = fs.String("shard", "", "run only a deterministic slice of the grid, as i/N (shard files merge with `virtuoso sweep merge`)")
+		ckpt       = fs.String("checkpoint", "", "JSONL checkpoint file: persist per-point results as they land and resume from it on restart")
+	)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	g := &grid{json: *jsonOut, list: *list, progress: *progress}
+	if g.list {
+		return g, nil
+	}
+
+	seedList, err := parseSeeds(*seeds)
+	if err != nil {
+		return nil, err
+	}
+	tierSpecs, err := parseTierSpecs(*tiers)
+	if err != nil {
+		return nil, err
+	}
+	spec := &virtuoso.SweepSpec{
+		Designs:       splitList(*design),
+		Policies:      splitList(*policy),
+		Seeds:         seedList,
+		TierPolicies:  splitList(*tierPolicy),
+		Scale:         *scale,
+		Mode:          *mode,
+		MaxAppInsts:   insts,
+		Frag:          frag,
+		Quantum:       *quantum,
+		ASIDRetention: *asidRet,
+		Parallel:      *parallel,
+		Shard:         *shard,
+	}
+	// -multi turns the workload list into one multiprogrammed mix; the
+	// other axes (designs, policies, seeds) still expand the grid.
+	if *multi {
+		spec.Mixes = [][]string{splitList(*workload)}
+	} else {
+		spec.Workloads = splitList(*workload)
+	}
+	if len(tierSpecs) > 0 {
+		spec.TierSpecs = [][]virtuoso.TierSpec{tierSpecs}
+	}
+	// -policy left at its default pairs designs with their natural
+	// policies (utopia wants its own allocator, RMM eager paging). That
+	// hook changes results in a way the spec fields cannot express, so
+	// it salts the spec hash: a checkpoint written under the pairing
+	// cannot be resumed by a run without it, and vice versa.
+	policySet := false
+	fs.Visit(func(f *flag.Flag) { policySet = policySet || f.Name == "policy" })
+	if !policySet {
+		spec.Label = "cli-natural-policies"
+	}
+
+	if g.sweep, err = spec.Sweep(); err != nil {
+		return nil, err
+	}
+	g.sweep.Checkpoint = *ckpt
+	if !policySet {
+		g.sweep.Configure = naturalPolicy
+	}
+	return g, nil
+}
+
+// naturalPolicy is the Configure hook behind a defaulted -policy.
+func naturalPolicy(cfg *virtuoso.Config, _ virtuoso.Point) error {
+	switch cfg.Design {
+	case virtuoso.DesignUtopia:
+		cfg.Policy = virtuoso.PolicyUtopia
+	case virtuoso.DesignRMM:
+		cfg.Policy = virtuoso.PolicyEager
+	}
+	return nil
 }
 
 // printMulti renders one multiprogrammed run: the scheduler summary, a
@@ -377,30 +371,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-func parseDesigns(s string) ([]virtuoso.DesignName, error) {
-	var out []virtuoso.DesignName
-	for _, part := range splitList(s) {
-		d, err := virtuoso.ParseDesign(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
-func parsePolicies(s string) ([]virtuoso.PolicyName, error) {
-	var out []virtuoso.PolicyName
-	for _, part := range splitList(s) {
-		p, err := virtuoso.ParsePolicy(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // parseTierSpecs parses the -tiers flag: a comma-separated list of

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -232,6 +233,35 @@ func TestServeRejectsShardedSpec(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("sharded spec accepted with status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServeRejectsUnknownWorkload: a spec naming an unknown workload is
+// refused at submission, before a job starts or its spec and checkpoint
+// are persisted.
+func TestServeRejectsUnknownWorkload(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := newSweepServer(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.cancel()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	spec := `{"workloads": ["RND", "NOPE"], "designs": ["radix", "ech"], "scale": 0.05, "max_app_insts": 1000}`
+	resp, err := http.Post(ts.URL+"/", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown workload accepted with status %d, want 400", resp.StatusCode)
+	}
+	for _, pattern := range []string{"*.spec.json", "*.ckpt.jsonl"} {
+		if m, _ := filepath.Glob(filepath.Join(dir, pattern)); len(m) > 0 {
+			t.Errorf("rejected spec left state behind: %v", m)
+		}
 	}
 }
 

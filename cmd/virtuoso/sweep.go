@@ -59,13 +59,26 @@ func loadSpec(path string) (*virtuoso.SweepSpec, error) {
 	return virtuoso.ParseSweepSpec(data)
 }
 
-// writeOut writes data to path, or stdout when path is empty.
-func writeOut(path string, data []byte) error {
-	if path == "" {
-		_, err := os.Stdout.Write(append(data, '\n'))
+// writeReport writes rep as JSON — the canonical (host-time-stripped)
+// form when canonical is set, indented otherwise — to path, or to
+// stdout when path is empty.
+func writeReport(rep *virtuoso.Report, canonical bool, path string) error {
+	var data []byte
+	var err error
+	if canonical {
+		data, err = rep.CanonicalJSON()
+	} else {
+		data, err = rep.JSON()
+	}
+	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	data = append(data, '\n')
+	if path == "" {
+		_, err = os.Stdout.Write(data)
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
 }
 
 func sweepRunCmd(args []string) {
@@ -120,14 +133,7 @@ func sweepRunCmd(args []string) {
 			len(report.Results), report.FromCheckpoint, report.FromCache, report.Executed)
 	}
 	if report != nil {
-		var data []byte
-		if *canonical {
-			data, err = report.CanonicalJSON()
-		} else {
-			data, err = report.JSON()
-		}
-		check(err)
-		check(writeOut(*out, data))
+		check(writeReport(report, *canonical, *out))
 	}
 	if runErr != nil {
 		if report != nil && sweep.Checkpoint != "" {
@@ -150,14 +156,7 @@ func sweepMergeCmd(args []string) {
 	}
 	report, err := virtuoso.MergeCheckpoints(fs.Args()...)
 	check(err)
-	var data []byte
-	if *canonical {
-		data, err = report.CanonicalJSON()
-	} else {
-		data, err = report.JSON()
-	}
-	check(err)
-	check(writeOut(*out, data))
+	check(writeReport(report, *canonical, *out))
 }
 
 func sweepHashCmd(args []string) {

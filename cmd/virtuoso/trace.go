@@ -68,27 +68,17 @@ func addSimFlags(fs *flag.FlagSet, f *simFlags, seedDefault uint64, seedHelp str
 	fs.Uint64Var(&f.seed, "seed", seedDefault, seedHelp)
 }
 
-// options converts the shared flags into session options.
+// options converts the shared flags into session options; the options
+// themselves reject unknown names and an out-of-range -frag.
 func (f *simFlags) options() ([]virtuoso.Option, error) {
-	design, err := virtuoso.ParseDesign(f.design)
-	if err != nil {
-		return nil, err
-	}
-	policy, err := virtuoso.ParsePolicy(f.policy)
-	if err != nil {
-		return nil, err
-	}
 	mode, err := virtuoso.ParseMode(f.mode)
 	if err != nil {
 		return nil, err
 	}
-	if f.frag < 0 || f.frag > 1 {
-		return nil, fmt.Errorf("virtuoso: -frag %v out of range [0, 1]", f.frag)
-	}
 	return []virtuoso.Option{
 		virtuoso.WithScaledConfig(),
-		virtuoso.WithDesign(design),
-		virtuoso.WithPolicy(policy),
+		virtuoso.WithDesign(virtuoso.DesignName(f.design)),
+		virtuoso.WithPolicy(virtuoso.PolicyName(f.policy)),
 		virtuoso.WithMode(mode),
 		virtuoso.WithMaxInstructions(f.insts),
 		virtuoso.WithFragmentation(f.frag),
@@ -228,7 +218,7 @@ func traceReplay(args []string) {
 		r := sess.Result(m)
 		if *jsonOut || *canonical || *outFile != "" {
 			rep := &virtuoso.Report{Results: []virtuoso.Result{r}, Points: 1}
-			check(emitReport(rep, *canonical, *outFile))
+			check(writeReport(rep, *canonical, *outFile))
 			return
 		}
 		printSingle(r)
@@ -266,7 +256,7 @@ func traceReplay(args []string) {
 		check(err)
 		if round == 1 {
 			first = canon
-			check(emitReport(rep, *canonical, *outFile))
+			check(writeReport(rep, *canonical, *outFile))
 		} else if !bytes.Equal(canon, first) {
 			check(fmt.Errorf("virtuoso trace replay: round %d diverged from round 1 (determinism violation)", round))
 		}
@@ -298,26 +288,6 @@ func parseReplaySeeds(list string, recorded uint64) ([]uint64, error) {
 		return nil, fmt.Errorf("virtuoso trace replay: -seeds is empty")
 	}
 	return out, nil
-}
-
-// emitReport writes rep as (canonical or indented) JSON to path, or to
-// stdout when path is empty.
-func emitReport(rep *virtuoso.Report, canonical bool, path string) error {
-	var data []byte
-	var err error
-	if canonical {
-		data, err = rep.CanonicalJSON()
-	} else {
-		data, err = rep.JSON()
-	}
-	if err != nil {
-		return err
-	}
-	if path == "" {
-		fmt.Println(string(data))
-		return nil
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func traceInfo(args []string) {

@@ -22,6 +22,10 @@ func FuzzParseSweepSpec(f *testing.F) {
 	f.Add([]byte(`{"workloads": ["BFS"]} trailing`))
 	f.Add([]byte(`{"frag": 2.0, "workloads": ["BFS"]}`))
 	f.Add([]byte(`{"shard": "9/4", "workloads": ["BFS"]}`))
+	f.Add([]byte(`{"workloads": ["RND", "NOPE"], "designs": ["radix", "ech"]}`))
+	f.Add([]byte(`{"mixes": [["RND", "NOPE"]]}`))
+	f.Add([]byte(`{"workloads": ["BFS"], "scale": -1}`))
+	f.Add([]byte(`{"workloads": ["BFS"], "long_iters": -1}`))
 	f.Add([]byte(``))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`{"workloads": [`))

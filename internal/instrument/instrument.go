@@ -15,44 +15,23 @@
 package instrument
 
 import (
-	"sort"
-
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/xrand"
 )
 
-// RoutineStat aggregates per-routine activity, used to report where
-// kernel time goes (and for the §7.3 instruction-count correlation).
-type RoutineStat struct {
-	Calls  uint64
-	Insts  uint64
-	MemOps uint64
-}
-
 // Tracer records the instruction stream of the currently executing kernel
 // event. One Tracer serves one kernel worker; Begin/Take bracket one
 // event (e.g., one page fault).
 type Tracer struct {
-	stream  isa.Stream
-	routine []frame
-	pc      uint64
-	stats   map[string]*RoutineStat
-	insts   uint64 // dynamic instructions in the current stream
-	total   uint64 // lifetime dynamic instruction count
-}
-
-type frame struct {
-	name  string
-	start uint64
-	pc    uint64
-	st    *RoutineStat // resolved once at Enter; memStat runs per kernel mem-op
+	stream isa.Stream
+	pc     uint64
+	insts  uint64 // dynamic instructions in the current stream
+	total  uint64 // lifetime dynamic instruction count
 }
 
 // NewTracer returns an empty tracer.
-func NewTracer() *Tracer {
-	return &Tracer{stats: make(map[string]*RoutineStat)}
-}
+func NewTracer() *Tracer { return &Tracer{} }
 
 // Begin resets the tracer for a new kernel event.
 func (t *Tracer) Begin() {
@@ -92,24 +71,14 @@ func (t *Tracer) TotalInsts() uint64 { return t.total }
 // exit function. Routine names give each routine a distinct synthetic
 // code region so injected kernel code exercises the I-cache realistically.
 func (t *Tracer) Enter(name string) func() {
-	st := t.stats[name]
-	if st == nil {
-		st = &RoutineStat{}
-		t.stats[name] = st
-	}
-	st.Calls++
 	prevPC := t.pc
-	start := t.insts
 	// Each routine occupies a 16 KB synthetic code region derived from
 	// its name.
 	t.pc = 0xffff_8000_0000_0000 | (xrand.Hash64(hashName(name), 0x05) & 0x3fff_ffff << 14)
-	t.routine = append(t.routine, frame{name: name, start: start, pc: prevPC, st: st})
 	t.emit(isa.Inst{Op: isa.OpBranch, Count: 1, PC: t.pc, Phys: true}) // call
 	return func() {
 		t.emit(isa.Inst{Op: isa.OpBranch, Count: 1, PC: t.pc, Phys: true}) // ret
-		st.Insts += t.insts - start
 		t.pc = prevPC
-		t.routine = t.routine[:len(t.routine)-1]
 	}
 }
 
@@ -155,14 +124,12 @@ func (t *Tracer) Branch(n uint32) {
 func (t *Tracer) Load(pa mem.PAddr) {
 	t.emit(isa.Inst{Op: isa.OpLoad, Count: 1, PC: t.pc, Addr: uint64(pa), Phys: true})
 	t.bumpPC(1)
-	t.memStat()
 }
 
 // Store records a kernel store at physical address pa.
 func (t *Tracer) Store(pa mem.PAddr) {
 	t.emit(isa.Inst{Op: isa.OpStore, Count: 1, PC: t.pc, Addr: uint64(pa), Phys: true})
 	t.bumpPC(1)
-	t.memStat()
 }
 
 // Atomic records a locked RMW at pa (spinlock acquisition, refcounts);
@@ -171,7 +138,6 @@ func (t *Tracer) Store(pa mem.PAddr) {
 func (t *Tracer) Atomic(pa mem.PAddr) {
 	t.emit(isa.Inst{Op: isa.OpAtomic, Count: 1, PC: t.pc, Addr: uint64(pa), Phys: true})
 	t.bumpPC(1)
-	t.memStat()
 }
 
 // Delay records a pipeline stall of the given cycles (device time, e.g.,
@@ -192,12 +158,6 @@ func (t *Tracer) Delay(cycles uint64) {
 func (t *Tracer) Magic() {
 	t.emit(isa.Inst{Op: isa.OpMagic, Count: 1, PC: t.pc, Phys: true})
 	t.bumpPC(1)
-}
-
-func (t *Tracer) memStat() {
-	if n := len(t.routine); n > 0 {
-		t.routine[n-1].st.MemOps++
-	}
 }
 
 // ZeroRange records clearing [pa, pa+bytes): one cache-line store per
@@ -231,22 +191,6 @@ func (t *Tracer) TouchObject(pa mem.PAddr, loads, stores int) {
 	for i := 0; i < stores; i++ {
 		t.Store(pa + mem.PAddr(i*mem.CacheLineBytes))
 	}
-}
-
-// Stats returns per-routine statistics sorted by name.
-func (t *Tracer) Stats() []NamedRoutineStat {
-	out := make([]NamedRoutineStat, 0, len(t.stats))
-	for name, st := range t.stats {
-		out = append(out, NamedRoutineStat{Name: name, RoutineStat: *st})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// NamedRoutineStat pairs a routine name with its statistics.
-type NamedRoutineStat struct {
-	Name string
-	RoutineStat
 }
 
 // Interface checks.

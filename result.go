@@ -37,6 +37,32 @@ type Result struct {
 	Multi *MultiMetrics `json:"multi,omitempty"`
 }
 
+// newResult echoes the executed config around one run's metrics — the
+// config after the grid axes and any Configure hook, which may have
+// overridden design, policy, or seed. multi is nil for single-workload
+// runs; for a mix, m is its aggregate.
+func newResult(index int, workload string, cfg Config, m Metrics, multi *MultiMetrics) Result {
+	// A flat config echoes no migration policy; tiers without an
+	// explicit policy run the default one.
+	tierPolicy := cfg.OSCfg.TierPolicy
+	if len(cfg.OSCfg.Tiers) == 0 {
+		tierPolicy = ""
+	} else if tierPolicy == "" {
+		tierPolicy = TierPolicyHotCold
+	}
+	return Result{
+		Index:      index,
+		Workload:   workload,
+		Design:     cfg.Design,
+		Policy:     cfg.Policy,
+		TierPolicy: tierPolicy,
+		Mode:       cfg.Mode.String(),
+		Seed:       cfg.Seed,
+		Metrics:    m,
+		Multi:      multi,
+	}
+}
+
 // Key returns a compact "workload/design/policy/seed" identifier.
 func (r Result) Key() string {
 	return fmt.Sprintf("%s/%s/%s/%d", r.Workload, r.Design, r.Policy, r.Seed)

@@ -2,7 +2,10 @@
 # CI drill for the sharded, resumable sweep service: run a small grid
 # as 3 shards, kill one mid-run, resume it from its checkpoint, merge
 # the shard files, and require the merged report to be byte-identical
-# (canonical form) to an unsharded run of the same spec.
+# (canonical form) to an unsharded run of the same spec. Then check
+# that the top-level flag grid is the same sweep as its equivalent spec
+# (a spec run resumes the grid's checkpoint without simulating), and
+# that a spec naming an unknown workload is rejected before it runs.
 #
 # Usage: bash scripts/sharded_sweep_ci.sh [workdir]
 set -euo pipefail
@@ -68,3 +71,35 @@ if ! cmp "$work/merged.json" "$work/golden.json"; then
   exit 1
 fi
 echo "OK: kill/resume preserved completed points; merged == unsharded (byte-identical canonical reports)"
+
+# The flag grid is a sweep spec: a checkpoint written by the grid
+# resumes under `sweep run -spec` of the equivalent spec with nothing
+# left to simulate. The spec sets frag and mode because the flags
+# always do (at their defaults).
+"$v" -workload JSON,2D-Sum -seeds 1,2 -policy thp -insts 80000 -scale 0.05 \
+  -checkpoint "$work/grid.jsonl" -json > /dev/null
+cat > "$work/grid_spec.json" <<'EOF'
+{"workloads": ["JSON", "2D-Sum"], "designs": ["radix"], "policies": ["thp"], "seeds": [1, 2],
+ "scale": 0.05, "max_app_insts": 80000, "frag": 0.8, "mode": "imitation"}
+EOF
+"$v" sweep run -spec "$work/grid_spec.json" -checkpoint "$work/grid.jsonl" -canonical \
+  -o "$work/grid_resumed.json" 2> "$work/grid_resume.log"
+if ! grep -q ' 0 simulated$' "$work/grid_resume.log"; then
+  echo "ERROR: the spec run did not resume the flag grid's checkpoint in full" >&2
+  cat "$work/grid_resume.log" >&2
+  exit 1
+fi
+"$v" sweep run -spec "$work/grid_spec.json" -canonical -o "$work/grid_fresh.json"
+if ! cmp "$work/grid_resumed.json" "$work/grid_fresh.json"; then
+  echo "ERROR: the resumed flag-grid report differs from a fresh spec run" >&2
+  exit 1
+fi
+echo "OK: flag grid == equivalent spec ($(cat "$work/grid_resume.log"))"
+
+# Workload names are checked when the spec becomes a sweep.
+echo '{"workloads": ["RND", "NOPE"], "designs": ["radix", "ech"]}' > "$work/bad_spec.json"
+if "$v" sweep hash -spec "$work/bad_spec.json" 2> "$work/bad_spec.log"; then
+  echo "ERROR: sweep hash accepted a spec naming an unknown workload" >&2
+  exit 1
+fi
+echo "OK: unknown workload rejected: $(cat "$work/bad_spec.log")"

@@ -183,7 +183,8 @@ func ParseSweepSpec(data []byte) (*SweepSpec, error) {
 }
 
 // Sweep materialises the spec into a runnable Sweep, validating every
-// name (designs, policies, mode, shard) up front.
+// name (workloads, mix members, designs, policies, mode, shard) and
+// the workload params up front.
 func (sp *SweepSpec) Sweep() (*Sweep, error) {
 	base := ScaledConfig()
 	if sp.FullScale {
@@ -282,6 +283,18 @@ func (sp *SweepSpec) Sweep() (*Sweep, error) {
 	}
 	if len(s.Workloads) == 0 && len(s.Mixes) == 0 {
 		return nil, fmt.Errorf("virtuoso: sweep spec selects no workloads or mixes")
+	}
+	// Build every workload and mix once with the sweep's Params, so an
+	// unknown name or a bad param fails here, not points into a run.
+	for _, w := range s.Workloads {
+		if _, err := NamedWorkloadWith(w, s.Params); err != nil {
+			return nil, err
+		}
+	}
+	for _, mix := range s.Mixes {
+		if _, err := NamedMixWith(mix, s.Params); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }

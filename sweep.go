@@ -428,7 +428,7 @@ func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 			idx := pending[out.Index]
 			var res Result
 			if out.Err == nil {
-				res = buildResult(pts[idx], jobs[out.Index].Cfg, out)
+				res = newResult(idx, pts[idx].Workload, jobs[out.Index].Cfg, out.Metrics, out.Multi)
 				var raw json.RawMessage
 				var marshalErr error
 				if ckpt != nil || cache != nil {
@@ -489,7 +489,8 @@ func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 		if out.Err != nil {
 			continue
 		}
-		fresh[pending[ji]] = buildResult(pts[pending[ji]], jobs[ji].Cfg, out)
+		idx := pending[ji]
+		fresh[idx] = newResult(idx, pts[idx].Workload, jobs[ji].Cfg, out.Metrics, out.Multi)
 	}
 	rep.Executed = len(fresh)
 	for _, idx := range sel {
@@ -515,35 +516,6 @@ func (s *Sweep) Run(ctx context.Context) (*Report, error) {
 		return rep, fmt.Errorf("virtuoso: sweep cache %s: %w", s.Cache, cacheErr)
 	}
 	return rep, err
-}
-
-// buildResult echoes the executed config, not the grid point: the
-// Configure hook may have overridden design, policy, or seed.
-func buildResult(p Point, cfg Config, out runner.Outcome) Result {
-	return Result{
-		Index:      p.Index,
-		Workload:   p.Workload,
-		Design:     cfg.Design,
-		Policy:     cfg.Policy,
-		TierPolicy: tierPolicyEcho(cfg),
-		Mode:       cfg.Mode.String(),
-		Seed:       cfg.Seed,
-		Metrics:    out.Metrics,
-		Multi:      out.Multi,
-	}
-}
-
-// tierPolicyEcho names the migration policy a config would run with —
-// empty for flat configs, the default name when tiers are set without
-// an explicit policy.
-func tierPolicyEcho(cfg Config) string {
-	if len(cfg.OSCfg.Tiers) == 0 {
-		return ""
-	}
-	if cfg.OSCfg.TierPolicy == "" {
-		return TierPolicyHotCold
-	}
-	return cfg.OSCfg.TierPolicy
 }
 
 // workloadFactory returns the per-point workload constructor, deferring

@@ -306,4 +306,16 @@ func TestSweepSpecRoundTrip(t *testing.T) {
 	if _, err := empty.Sweep(); err == nil {
 		t.Error("workload-less spec accepted")
 	}
+	// Workloads are built once at parse time with the spec's params, so
+	// a bad name or param fails here instead of points into the run.
+	for name, sp := range map[string]*virtuoso.SweepSpec{
+		"unknown workload":    {Workloads: []string{"RND", "NOPE"}},
+		"unknown mix member":  {Mixes: [][]string{{"RND", "NOPE"}}},
+		"negative scale":      {Workloads: []string{"BFS"}, Scale: -1},
+		"negative long_iters": {Workloads: []string{"BFS"}, LongIters: -1},
+	} {
+		if _, err := sp.Sweep(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }

@@ -409,15 +409,7 @@ func (s *Session) RunMultiContext(ctx context.Context) (MultiMetrics, error) {
 // for session results — it identifies grid position only in sweep
 // reports — so key downstream tooling on Result.Key(), not Index.
 func (s *Session) Result(m Metrics) Result {
-	return Result{
-		Workload:   s.w.Name(),
-		Design:     s.cfg.Design,
-		Policy:     s.cfg.Policy,
-		TierPolicy: tierPolicyEcho(s.cfg),
-		Mode:       s.cfg.Mode.String(),
-		Seed:       s.cfg.Seed,
-		Metrics:    m,
-	}
+	return newResult(0, s.w.Name(), s.cfg, m, nil)
 }
 
 // MultiResult packages a multiprogrammed run's metrics as a Result:
@@ -426,16 +418,7 @@ func (s *Session) Result(m Metrics) Result {
 // Mixes produce, so standalone and swept multiprogrammed runs are
 // byte-comparable.
 func (s *Session) MultiResult(mm MultiMetrics) Result {
-	return Result{
-		Workload:   core.MixName(mm.Mix),
-		Design:     s.cfg.Design,
-		Policy:     s.cfg.Policy,
-		TierPolicy: tierPolicyEcho(s.cfg),
-		Mode:       s.cfg.Mode.String(),
-		Seed:       s.cfg.Seed,
-		Metrics:    mm.Aggregate,
-		Multi:      &mm,
-	}
+	return newResult(0, core.MixName(mm.Mix), s.cfg, mm.Aggregate, &mm)
 }
 
 // NamedWorkload returns a Table 5 workload ("BC", "BFS", ..., "JSON",
