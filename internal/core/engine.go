@@ -475,14 +475,6 @@ func (s *System) Recycle(pool *recycle.Pool) {
 	s.feed = feed{}
 }
 
-// ReleaseTransients donates process-global reusable buffers — today
-// the kernel tracer's event stream, a simulation's largest repeat
-// allocation — for adoption by future unpooled systems. Single-use
-// sessions call it once their run has finished; the system stays
-// usable (a later kernel event just regrows a buffer). Pooled systems
-// use Recycle, which harvests into the worker's pool instead.
-func (s *System) ReleaseTransients() { s.OS.ReleaseStream() }
-
 // buildDesignFor constructs the configured translation design bound to
 // one process's page table and design state. Every process owns its own
 // design instance (its page-table root, walk caches, range/VMA tables),
@@ -572,10 +564,9 @@ func (s *System) handleFault(va mem.VAddr, write bool) bool {
 	case Imitation:
 		stream := s.StreamChan.Deliver(s.OS.TakeStream())
 		if s.streamRing != nil {
-			// Online instrumentation retains translated code buffers.
-			cp := make(isa.Stream, len(stream))
-			copy(cp, stream)
-			s.streamRing[s.ringPos%len(s.streamRing)] = cp
+			// Online instrumentation retains translated code buffers:
+			// the unrolled instructions, as a Pin-style tool holds them.
+			s.streamRing[s.ringPos%len(s.streamRing)] = stream.Unroll()
 			s.ringPos++
 		}
 		spent := s.Core.RunStream(stream)

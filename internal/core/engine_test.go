@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/mimicos"
 	"repro/internal/workloads"
@@ -149,5 +151,28 @@ func TestMmapSyscallThroughChannel(t *testing.T) {
 	}
 	if s.OS.VMAOf(1, base) == nil {
 		t.Fatal("VMA not created")
+	}
+}
+
+// TestRetainedStreamIsUnrolled guards the Fig. 11 memory model: the
+// ring of retained kernel streams holds each stream's unrolled
+// instructions, as online instrumentation would, not its compact
+// range records.
+func TestRetainedStreamIsUnrolled(t *testing.T) {
+	s := smallSystem(t, func(c *Config) {
+		c.Policy = PolicyTHP
+		c.RetainKernelStreams = 4
+	})
+	base := s.Mmap(8*mem.MB, mimicos.MmapFlags{Anon: true})
+	if !s.handleFault(base, true) {
+		t.Fatal("fault failed")
+	}
+	compact := s.OS.TakeStream()
+	if !slices.ContainsFunc(compact, func(in isa.Inst) bool { return in.Op == isa.OpZeroRange }) {
+		t.Fatal("2MB THP fault recorded no zeroing range")
+	}
+	kept := s.streamRing[(s.ringPos-1)%len(s.streamRing)]
+	if want := compact.Unroll(); !slices.Equal(kept, want) || cap(kept) != len(want) {
+		t.Fatalf("retained %d records (cap %d), want the %d-record unrolled stream", len(kept), cap(kept), len(want))
 	}
 }

@@ -107,9 +107,6 @@ func (c *Core) Stats() *Stats {
 // Now returns the current cycle.
 func (c *Core) Now() uint64 { return uint64(c.cycles) }
 
-// NsPerCycle returns nanoseconds per cycle at the configured frequency.
-func (c *Core) NsPerCycle() float64 { return 1.0 / c.cfg.FreqGHz }
-
 // CyclesToNs converts cycles to nanoseconds.
 func (c *Core) CyclesToNs(cy uint64) float64 { return float64(cy) / c.cfg.FreqGHz }
 
@@ -171,11 +168,12 @@ func (c *Core) Run(in isa.Inst) {
 }
 
 // RunStream executes a full instruction stream (injected kernel code),
-// returning the cycles it consumed.
+// returning the cycles it consumed. Range records run as the per-line
+// instructions they stand for (isa.Stream.All), one Run each.
 func (c *Core) RunStream(s isa.Stream) uint64 {
 	start := uint64(c.cycles)
 	restore := c.EnterKernel()
-	for _, in := range s {
+	for in := range s.All() {
 		c.Run(in)
 	}
 	restore()

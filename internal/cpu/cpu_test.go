@@ -129,3 +129,69 @@ func TestAtomicsSerialise(t *testing.T) {
 		t.Fatalf("atomic (%d) should cost more than warm load (%d)", atomicCost, loadCost)
 	}
 }
+
+// TestRunStreamRangesMatchUnrolled is the differential test of the
+// compact kernel stream: running a stream with range records and
+// running its unrolled form must leave the core, every cache level and
+// DRAM in identical states.
+func TestRunStreamRangesMatchUnrolled(t *testing.T) {
+	mixed := func(tr *instrument.Tracer) {
+		exit := tr.Enter("mixed")
+		tr.ALU(30)
+		tr.Atomic(0x7000)
+		tr.ZeroRange(0x40_0000, 4*mem.KB)
+		tr.Branch(3)
+		tr.CopyRange(0x80_0000, 0x90_0000, 4*mem.KB)
+		tr.Delay(500)
+		tr.Load(0x7040)
+		exit()
+	}
+	cases := []struct {
+		name   string
+		record func(*instrument.Tracer)
+	}{
+		{"zero-0B", func(tr *instrument.Tracer) { tr.ZeroRange(0x40_0000, 0) }},
+		{"zero-4K", func(tr *instrument.Tracer) { tr.ZeroRange(0x40_0000, 4*mem.KB) }},
+		{"zero-2M", func(tr *instrument.Tracer) { tr.ZeroRange(0x40_0000, 2*mem.MB) }},
+		{"copy-4K", func(tr *instrument.Tracer) { tr.CopyRange(0x80_0000, 0x90_0000, 4*mem.KB) }},
+		{"mixed", mixed},
+		{"mixed-twice", func(tr *instrument.Tracer) { mixed(tr); mixed(tr) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := instrument.NewTracer()
+			tr.Begin()
+			tc.record(tr)
+			compact := tr.Take()
+			unrolled := compact.Unroll()
+			for _, in := range unrolled {
+				if in.Op == isa.OpZeroRange || in.Op == isa.OpCopyRange {
+					t.Fatalf("unrolled form holds a range record: %+v", in)
+				}
+			}
+
+			a, _ := testCore(t)
+			b, _ := testCore(t)
+			spentA := a.RunStream(compact)
+			spentB := b.RunStream(unrolled)
+			if spentA != spentB {
+				t.Fatalf("cycles spent: compact %d, unrolled %d", spentA, spentB)
+			}
+			if *a.Stats() != *b.Stats() {
+				t.Fatalf("core stats differ:\ncompact  %+v\nunrolled %+v", *a.Stats(), *b.Stats())
+			}
+			if got := a.Stats().KernelInsts; got != compact.Instructions() || got != unrolled.Instructions() {
+				t.Fatalf("kernel insts = %d, compact stream counts %d, unrolled %d", got, compact.Instructions(), unrolled.Instructions())
+			}
+			ha, hb := a.Hierarchy(), b.Hierarchy()
+			for i, lv := range [][2]*cache.Cache{{ha.L1I, hb.L1I}, {ha.L1D, hb.L1D}, {ha.L2, hb.L2}, {ha.L3, hb.L3}} {
+				if *lv[0].Stats() != *lv[1].Stats() {
+					t.Fatalf("cache level %d stats differ:\ncompact  %+v\nunrolled %+v", i, *lv[0].Stats(), *lv[1].Stats())
+				}
+			}
+			if *ha.Dram.Stats() != *hb.Dram.Stats() {
+				t.Fatalf("DRAM stats differ:\ncompact  %+v\nunrolled %+v", *ha.Dram.Stats(), *hb.Dram.Stats())
+			}
+		})
+	}
+}

@@ -8,10 +8,11 @@
 // instruction-stream channel, so OS routines are charged their real
 // latency and create real cache pollution and DRAM interference.
 //
-// The stream length is path-dependent by construction: a page fault that
-// zeroes a 2 MB page records 32768 cache-line stores, while a fault
-// served from the zero-page pool records a handful — reproducing the
-// heavy-tailed minor-fault latency distributions of Fig. 2.
+// The instruction count is path-dependent by construction: a page fault
+// that zeroes a 2 MB page executes 32768 cache-line stores (recorded as
+// one isa.OpZeroRange record), while a fault served from the zero-page
+// pool executes a handful — reproducing the heavy-tailed minor-fault
+// latency distributions of Fig. 2.
 package instrument
 
 import (
@@ -26,60 +27,53 @@ import (
 type Tracer struct {
 	stream isa.Stream
 	pc     uint64
-	insts  uint64 // dynamic instructions in the current stream
-	total  uint64 // lifetime dynamic instruction count
+	// savedPC holds, per routine entered and not yet exited, the PC its
+	// exit restores; exits[d] is the exit of the routine at depth d,
+	// built once per depth so Enter allocates nothing.
+	savedPC []uint64
+	exits   []func()
 }
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
 // Begin resets the tracer for a new kernel event.
-func (t *Tracer) Begin() {
-	t.stream = t.stream[:0]
-	t.insts = 0
-}
-
-// Adopt replaces the tracer's stream storage with buf, truncated. The
-// buffer grows to the largest single kernel event (a 2 MB ZeroRange is
-// 32 Ki records), so recycling it across kernels avoids regrowing —
-// and re-copying — megabytes per simulation. Contents are irrelevant:
-// every record below len is overwritten by emit before a reader sees
-// it, and isa.Inst holds no pointers.
-func (t *Tracer) Adopt(buf isa.Stream) {
-	t.stream = buf[:0]
-}
-
-// Release surrenders the stream storage for recycling. The tracer must
-// not be used afterwards.
-func (t *Tracer) Release() isa.Stream {
-	buf := t.stream
-	t.stream = nil
-	return buf
-}
+func (t *Tracer) Begin() { t.stream = t.stream[:0] }
 
 // Take returns the recorded stream for the completed event. The returned
 // slice is valid until the next Begin; callers that retain it must copy.
 func (t *Tracer) Take() isa.Stream { return t.stream }
 
-// StreamInsts returns the dynamic instruction count of the current stream.
-func (t *Tracer) StreamInsts() uint64 { return t.insts }
-
-// TotalInsts returns the lifetime kernel instruction count.
-func (t *Tracer) TotalInsts() uint64 { return t.total }
-
 // Enter marks entry into a named kernel routine and returns the matching
 // exit function. Routine names give each routine a distinct synthetic
 // code region so injected kernel code exercises the I-cache realistically.
+//
+// Exits run in reverse order of entry, as defer runs them. An exit
+// restores the PC saved at its own entry, and exiting a routine also
+// exits any routine entered inside it that is still open. Exit
+// functions are reused per nesting depth: a second call is harmless
+// until the next Enter at the same depth, which it would exit.
 func (t *Tracer) Enter(name string) func() {
-	prevPC := t.pc
+	d := len(t.savedPC)
+	t.savedPC = append(t.savedPC, t.pc)
+	if d == len(t.exits) {
+		t.exits = append(t.exits, func() { t.exit(d) })
+	}
 	// Each routine occupies a 16 KB synthetic code region derived from
 	// its name.
 	t.pc = 0xffff_8000_0000_0000 | (xrand.Hash64(hashName(name), 0x05) & 0x3fff_ffff << 14)
 	t.emit(isa.Inst{Op: isa.OpBranch, Count: 1, PC: t.pc, Phys: true}) // call
-	return func() {
-		t.emit(isa.Inst{Op: isa.OpBranch, Count: 1, PC: t.pc, Phys: true}) // ret
-		t.pc = prevPC
+	return t.exits[d]
+}
+
+// exit leaves the routine entered at depth d.
+func (t *Tracer) exit(d int) {
+	if d >= len(t.savedPC) {
+		return
 	}
+	t.emit(isa.Inst{Op: isa.OpBranch, Count: 1, PC: t.pc, Phys: true}) // ret
+	t.pc = t.savedPC[d]
+	t.savedPC = t.savedPC[:d]
 }
 
 func hashName(s string) uint64 {
@@ -91,14 +85,7 @@ func hashName(s string) uint64 {
 	return h
 }
 
-func (t *Tracer) emit(in isa.Inst) {
-	t.stream = append(t.stream, in)
-	if in.Op != isa.OpDelay {
-		n := in.N()
-		t.insts += n
-		t.total += n
-	}
-}
+func (t *Tracer) emit(in isa.Inst) { t.stream = append(t.stream, in) }
 
 func (t *Tracer) bumpPC(n uint64) { t.pc += 4 * n }
 
@@ -140,44 +127,47 @@ func (t *Tracer) Atomic(pa mem.PAddr) {
 	t.bumpPC(1)
 }
 
+// maxCount bounds the Count of one record; longer delays and ranges are
+// split into several records.
+const maxCount = 1 << 31
+
 // Delay records a pipeline stall of the given cycles (device time, e.g.,
 // an SSD access simulated by MQSim).
 func (t *Tracer) Delay(cycles uint64) {
 	for cycles > 0 {
-		chunk := cycles
-		if chunk > 1<<31 {
-			chunk = 1 << 31
-		}
+		chunk := min(cycles, maxCount)
 		t.emit(isa.Inst{Op: isa.OpDelay, Count: uint32(chunk), Phys: true})
 		cycles -= chunk
 	}
 }
 
-// Magic records a magic (doorbell) instruction marking a functional
-// channel synchronisation point.
-func (t *Tracer) Magic() {
-	t.emit(isa.Inst{Op: isa.OpMagic, Count: 1, PC: t.pc, Phys: true})
-	t.bumpPC(1)
-}
-
 // ZeroRange records clearing [pa, pa+bytes): one cache-line store per
 // 64 B plus loop overhead — the dominant cost of huge-page allocation.
+// The stores are recorded as one isa.OpZeroRange record.
 func (t *Tracer) ZeroRange(pa mem.PAddr, bytes uint64) {
 	lines := bytes / mem.CacheLineBytes
-	for i := uint64(0); i < lines; i++ {
-		t.Store(pa + mem.PAddr(i*mem.CacheLineBytes))
+	for left := lines; left > 0; {
+		n := min(left, maxCount)
+		t.emit(isa.Inst{Op: isa.OpZeroRange, Count: uint32(n), PC: t.pc, Addr: uint64(pa), Phys: true})
+		t.bumpPC(n)
+		pa += mem.PAddr(n * mem.CacheLineBytes)
+		left -= n
 	}
 	t.ALU(uint32(lines)) // loop counter + address generation
 }
 
 // CopyRange records copying bytes from src to dst, one cache line at a
-// time (khugepaged collapse, swap-in fill, CoW).
+// time (khugepaged collapse, swap-in fill, CoW). The load/store pairs
+// are recorded as one isa.OpCopyRange record pair.
 func (t *Tracer) CopyRange(dst, src mem.PAddr, bytes uint64) {
 	lines := bytes / mem.CacheLineBytes
-	for i := uint64(0); i < lines; i++ {
-		off := mem.PAddr(i * mem.CacheLineBytes)
-		t.Load(src + off)
-		t.Store(dst + off)
+	for left := lines; left > 0; {
+		n := min(left, maxCount)
+		t.emit(isa.Inst{Op: isa.OpCopyRange, Count: uint32(n), PC: t.pc, Addr: uint64(src), Phys: true})
+		t.emit(isa.Inst{Op: isa.OpCopyRange, Count: uint32(n), PC: t.pc, Addr: uint64(dst), Phys: true})
+		t.bumpPC(2 * n)
+		off := mem.PAddr(n * mem.CacheLineBytes)
+		src, dst, left = src+off, dst+off, left-n
 	}
 	t.ALU(uint32(lines))
 }

@@ -8,6 +8,8 @@ package isa
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -40,11 +42,16 @@ const (
 	// core model executes it in one cycle; the Virtuoso engine intercepts
 	// it to switch between application and kernel instruction streams.
 	OpMagic
-	numOps
+	// OpZeroRange is a kernel-only range record standing for Count
+	// cache-line stores: line i at Addr+64*i, with PC PC+4*i.
+	OpZeroRange
+	// OpCopyRange is a kernel-only range record pair standing for Count
+	// line copies: the load of line i at Addr+64*i (PC PC+8*i), then the
+	// store of line i at the destination (PC PC+8*i+4). The second slot
+	// of the pair repeats the op and Count and carries the destination
+	// in Addr, so each slot counts its Count of memory instructions.
+	OpCopyRange
 )
-
-// NumOps is the number of instruction classes.
-const NumOps = int(numOps)
 
 func (o Op) String() string {
 	switch o {
@@ -64,13 +71,17 @@ func (o Op) String() string {
 		return "delay"
 	case OpMagic:
 		return "magic"
+	case OpZeroRange:
+		return "zero-range"
+	case OpCopyRange:
+		return "copy-range"
 	}
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
 // HasMemOperand reports whether the op carries a memory address.
 func (o Op) HasMemOperand() bool {
-	return o == OpLoad || o == OpStore || o == OpAtomic
+	return o == OpLoad || o == OpStore || o == OpAtomic || o == OpZeroRange || o == OpCopyRange
 }
 
 // IsWrite reports whether the op writes memory.
@@ -101,11 +112,56 @@ func (i Inst) N() uint64 {
 }
 
 // Stream is a materialised instruction sequence (e.g., one kernel routine's
-// dynamically generated instructions).
+// dynamically generated instructions). A kernel stream is a compact
+// program whose range records stand for many line loads and stores.
 type Stream []Inst
 
+// All yields the stream's unrolled form: each range record expanded
+// into the per-line stores (OpZeroRange) or load/store pairs
+// (OpCopyRange) it stands for, every other record as is. This is the
+// only definition of what a range record means.
+func (s Stream) All() iter.Seq[Inst] {
+	return func(yield func(Inst) bool) {
+		for i := 0; i < len(s); i++ {
+			in := s[i]
+			switch in.Op {
+			case OpZeroRange:
+				for k := uint64(0); k < uint64(in.Count); k++ {
+					if !yield(Inst{Op: OpStore, Phys: in.Phys, Count: 1, PC: in.PC + 4*k, Addr: in.Addr + k*mem.CacheLineBytes}) {
+						return
+					}
+				}
+			case OpCopyRange:
+				i++
+				dst := s[i].Addr
+				for k := uint64(0); k < uint64(in.Count); k++ {
+					off := k * mem.CacheLineBytes
+					if !yield(Inst{Op: OpLoad, Phys: in.Phys, Count: 1, PC: in.PC + 8*k, Addr: in.Addr + off}) ||
+						!yield(Inst{Op: OpStore, Phys: in.Phys, Count: 1, PC: in.PC + 8*k + 4, Addr: dst + off}) {
+						return
+					}
+				}
+			default:
+				if !yield(in) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Unroll returns the unrolled form of s (see All) as a new stream of
+// exactly its length.
+func (s Stream) Unroll() Stream {
+	n := 0
+	for range s.All() {
+		n++
+	}
+	return slices.AppendSeq(make(Stream, 0, n), s.All())
+}
+
 // Instructions returns the total dynamic instruction count of the stream,
-// counting batched ops at their batch size and excluding pure delays.
+// counting batched ops and range records at their Count, excluding delays.
 func (s Stream) Instructions() uint64 {
 	var n uint64
 	for _, in := range s {

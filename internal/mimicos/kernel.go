@@ -42,20 +42,6 @@ const (
 	PTHT    PTKind = "ht"
 )
 
-// tracerStreamKey recycles the Tracer's kernel-event stream buffer —
-// megabytes once a 2 MB ZeroRange has been recorded — across pooled
-// kernels.
-const tracerStreamKey = "mimicos.tracer.stream"
-
-// streamPool is the process-global fallback for kernels built without
-// a recycle.Pool (single-use sessions): the tracer's event buffer is
-// by far the largest repeat allocation of a simulation (it regrows to
-// the largest kernel event every run), so finished kernels donate it
-// here and fresh ones adopt it. Buffer contents never carry between
-// owners — Adopt truncates, and every record below len is rewritten
-// before a reader sees it — so reuse cannot affect simulated results.
-var streamPool sync.Pool
-
 // Config configures a MimicOS instance.
 type Config struct {
 	PhysBytes uint64 // physical memory size (Table 4: 256 GB)
@@ -337,13 +323,6 @@ func NewWith(cfg Config, disk *ssd.Device, pool *recycle.Pool) *Kernel {
 		rng:       xrand.New(cfg.Seed ^ 0x5eed),
 		pool:      pool,
 	}
-	if pool != nil {
-		if b, ok := pool.Take(tracerStreamKey); ok {
-			k.Tracer.Adopt(b.(isa.Stream))
-		}
-	} else if b := streamPool.Get(); b != nil {
-		k.Tracer.Adopt(b.(isa.Stream))
-	}
 	k.swap = newSwapState(k, cfg.SwapBytes)
 	k.khuge = newKhugepaged(k)
 	k.lk = locks{
@@ -385,20 +364,7 @@ func (k *Kernel) Recycle(pool *recycle.Pool) {
 		}
 	}
 	k.procs = nil
-	if buf := k.Tracer.Release(); buf != nil {
-		pool.Give(tracerStreamKey, buf)
-	}
 	k.Phys.Recycle(pool)
-}
-
-// ReleaseStream donates the tracer's grown event buffer to the
-// process-global pool for the next unpooled kernel. Statistics are
-// untouched, and the kernel remains usable — a later event simply
-// regrows a buffer. Pooled kernels recycle through Recycle instead.
-func (k *Kernel) ReleaseStream() {
-	if buf := k.Tracer.Release(); buf != nil {
-		streamPool.Put(buf)
-	}
 }
 
 // kalloc allocates a kernel object, panicking on OOM (init-time only).

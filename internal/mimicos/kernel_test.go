@@ -63,9 +63,13 @@ func TestTHPAllocates2M(t *testing.T) {
 	if !out.OK || out.Size != mem.Page2M {
 		t.Fatalf("THP fault: %+v", out)
 	}
-	// The synchronous 2MB zeroing must appear in the stream.
+	// The synchronous 2MB zeroing must appear in the stream, as a range
+	// record: the stream's length follows routine calls, not bytes.
 	if n := k.TakeStream().Instructions(); n < 32768 {
 		t.Fatalf("THP fault stream too short for 2MB zeroing: %d", n)
+	}
+	if n := len(k.TakeStream()); n > 64 {
+		t.Fatalf("THP fault stream holds %d records, want at most 64", n)
 	}
 	// No further faults inside the region.
 	if e, ok := k.Process(1).PT.Lookup(base + 1*mem.MB); !ok || !e.Present {

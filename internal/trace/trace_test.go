@@ -208,6 +208,28 @@ func TestWriterMisuse(t *testing.T) {
 	}
 }
 
+// TestWriterRejectsUnencodableOps: the control byte holds a 3-bit op,
+// so ops past it (the kernel-only range records) must fail loudly
+// rather than be masked into another op.
+func TestWriterRejectsUnencodableOps(t *testing.T) {
+	for _, w := range []*Writer{NewWriter(io.Discard, false), NewWriterV2(io.Discard)} {
+		if err := w.WriteHeader(Header{Workload: "w"}); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []isa.Op{isa.OpZeroRange, isa.OpCopyRange, ctrlOpMask + 1, 0xff} {
+			if err := w.WriteInst(isa.Inst{Op: op, Count: 4, Addr: 0x1000}); err == nil {
+				t.Errorf("v%d: WriteInst(%v) succeeded", w.Version(), op)
+			}
+		}
+		if err := w.WriteInst(isa.Inst{Op: isa.OpMagic}); err != nil {
+			t.Errorf("v%d: WriteInst(magic) after a rejected op: %v", w.Version(), err)
+		}
+		if w.Records() != 1 {
+			t.Errorf("v%d: %d records written, want 1", w.Version(), w.Records())
+		}
+	}
+}
+
 func TestHeaderErrors(t *testing.T) {
 	hdr, insts := testHeader(), testInsts()
 	var buf bytes.Buffer

@@ -156,10 +156,14 @@ func (w *Writer) WriteHeader(h Header) error {
 // WriteInst appends one instruction record (see appendRecord for how
 // records are canonicalised). v1 streams the record straight out; v2
 // gathers it into the current block and seals the block when it
-// reaches blockRecords records.
+// reaches blockRecords records. An op the control byte's op field
+// cannot hold — the kernel-only range ops — is an error.
 func (w *Writer) WriteInst(in isa.Inst) error {
 	if !w.headerDone {
 		return fmt.Errorf("trace: WriteInst before WriteHeader")
+	}
+	if in.Op > ctrlOpMask {
+		return fmt.Errorf("trace: op %v cannot be recorded", in.Op)
 	}
 	if w.version == Version1 {
 		w.bw.Write(appendRecord(w.buf[:0], in, &w.st))

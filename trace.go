@@ -182,7 +182,6 @@ func (s *Session) Record(path string, ropts ...RecordOption) (Metrics, TraceInfo
 		return Metrics{}, TraceInfo{}, err
 	}
 	m, err := s.sys.RunRecording(s.w, tw)
-	s.sys.ReleaseTransients()
 	if cerr := tw.Close(); err == nil {
 		err = cerr
 	}

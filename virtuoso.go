@@ -351,9 +351,6 @@ func (s *Session) RunContext(ctx context.Context) (Metrics, error) {
 	// direct driving (RunSteps) and must not poll a dead context.
 	defer s.sys.SetCancelCheck(nil)
 	m := s.sys.Run(s.w)
-	// Sessions are single-use: hand the kernel tracer's event buffer
-	// to the next session now that the run is over.
-	s.sys.ReleaseTransients()
 	if s.sys.Interrupted() {
 		// Only a run the cancellation actually stopped is discarded; a
 		// cancel that lands after completion leaves the metrics whole.
@@ -394,7 +391,6 @@ func (s *Session) RunMultiContext(ctx context.Context) (MultiMetrics, error) {
 	})
 	defer s.sys.SetCancelCheck(nil)
 	mm, err := s.sys.RunMulti(s.mix)
-	s.sys.ReleaseTransients()
 	if err != nil {
 		return MultiMetrics{}, err
 	}
